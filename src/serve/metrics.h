@@ -70,8 +70,8 @@ struct MetricsSnapshot {
   std::uint64_t result_cache_entries = 0;
   /// Current plan-cache entry count (gauge, as above).
   std::uint64_t plan_cache_entries = 0;
-  /// Summarize-mode entries currently in the result cache (gauge, as
-  /// above; a subset of result_cache_entries).
+  /// Completed summarize-mode entries currently in the result cache
+  /// (gauge, as above; a subset of result_cache_entries).
   std::uint64_t summary_cache_entries = 0;
   /// Live registry byte charge and scenario count (gauges, as above).
   std::uint64_t registry_bytes = 0;

@@ -12,7 +12,7 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "common/cancellation.h"
@@ -21,6 +21,7 @@
 #include "core/plan.h"
 #include "serve/metrics.h"
 #include "serve/scenario_registry.h"
+#include "serve/single_flight.h"
 #include "summarize/summarize.h"
 
 namespace cdi::serve {
@@ -129,9 +130,10 @@ struct QueryServerOptions {
   /// loadgen churn check) must leave this off. The seed is mixed into the
   /// options fingerprint, so warm and cold plans never share cache keys.
   bool warm_start_plans = false;
-  /// Test hook: runs on the worker thread right before each pipeline
-  /// execution (used to hold a worker to make queue-full and
-  /// mid-execution-deadline scenarios deterministic). Not for production.
+  /// Test hook: runs on the worker once per executed request — before a
+  /// full-mode pipeline run; for planned and summarize requests, once the
+  /// request has joined its scenario's plan flight, so a test can hold a
+  /// plan build while others follow it. Not for production.
   std::function<void()> pre_execute_hook;
 };
 
@@ -142,29 +144,26 @@ struct QueryServerOptions {
 /// result cache) -> bounded FIFO queue -> worker pool -> pipeline run
 /// with a per-request CancelToken -> response.
 ///
-/// Single-flight result cache: the cache entry for a key is claimed
-/// *pending* at admission, so any identical query arriving while the
-/// first is queued or running attaches to it as a waiter instead of
-/// enqueueing a duplicate execution; all of them receive the same shared
-/// PipelineResult. Completed entries serve subsequent identical queries
-/// at submit time without touching the queue. A failed execution (error,
-/// deadline) evicts its pending entry and propagates the error to its
-/// waiters — the cache never stores a failure, so the next identical
-/// query recomputes cleanly.
+/// Compute-once is one primitive, SingleFlightCache, under three tiers:
+///  - results, per QueryCacheKey: claimed pending at admission, so an
+///    identical query arriving while the first is queued or running
+///    follows it instead of enqueueing a duplicate; done entries serve
+///    later identical queries at submit time.
+///  - plans: one C-DAG artifact per (scenario, epoch, options), built by
+///    the first planned or summarize request and shared by every later
+///    pair and summary. Followers block their worker on the build until
+///    their own deadlines.
+///  - registrations, per name: one scenario build; nothing is retained,
+///    because the registry holds published bundles.
+/// Failures (errors, deadlines) reach every follower and are never
+/// retained. Results and plans are tagged (scenario, epoch): the first
+/// touch under a newer epoch evicts the scenario's older done entries,
+/// and a computation finishing after its epoch was superseded is not
+/// retained, so churn keeps both tiers bounded.
 ///
 /// Every pipeline stage is bitwise-deterministic, so a served result is
 /// bitwise-identical to a direct Pipeline::Run of the same query
 /// regardless of worker count, cache state, or coalescing.
-///
-/// Two-tier cache: alongside the per-query result cache, a scenario-level
-/// plan cache holds one C-DAG artifact per (scenario, epoch, options) —
-/// built once under single-flight by the first QueryMode::kPlanned query
-/// and reused by every subsequent planned pair query on that scenario
-/// (identification + sufficient-statistics effect estimation, no
-/// rediscovery). Both tiers are epoch-aware: when a registry Replace
-/// bumps a scenario's epoch, the first touch under the new epoch evicts
-/// every done entry of the superseded epochs, so churn keeps both caches
-/// bounded and no stale-epoch result is ever retained.
 class QueryServer {
  public:
   /// Builds (or loads) a scenario for RegisterScenario. Runs on the
@@ -240,59 +239,36 @@ class QueryServer {
   /// Returns the number of entries dropped.
   std::size_t InvalidateCache();
 
-  /// Stops accepting work, fails queued requests with kCancelled, signals
-  /// in-flight runs' cancel tokens, and joins the workers. Idempotent.
+  /// Stops accepting work, fails queued requests and plan/registration
+  /// followers with kCancelled, signals in-flight runs' cancel tokens, and
+  /// joins the workers. Idempotent.
   void Shutdown();
 
  private:
   using Clock = std::chrono::steady_clock;
 
+  /// A result-tier client: the leader's own request or a follower.
   struct Waiter {
     std::promise<QueryResponse> promise;
     Clock::time_point submit_time;
   };
 
-  struct CacheEntry {
-    bool done = false;
-    std::shared_ptr<const core::PipelineResult> result;  // full mode, done
-    std::shared_ptr<const core::PairAnswer> planned;  // planned mode, done
-    std::shared_ptr<const SummaryArtifact> summary;  // summarize mode, done
-    /// True for summarize-mode entries from the moment they are claimed
-    /// (pending included) — drives the summary_cache_entries gauge.
-    bool is_summary = false;
-    std::vector<Waiter> waiters;  // attached while pending
-    /// Scenario + epoch the entry answers for: stale-epoch eviction scans
-    /// these when a registry Replace supersedes an epoch.
-    std::string scenario;
-    std::uint64_t epoch = 0;
+  /// A result-tier value; the pointer matching the query mode is set.
+  struct CachedAnswer {
+    std::shared_ptr<const core::PipelineResult> result;
+    std::shared_ptr<const core::PairAnswer> planned;
+    std::shared_ptr<const SummaryArtifact> summary;
   };
 
-  /// Single-flight slot for a scenario's C-DAG plan artifact. Held by
-  /// shared_ptr so waiters blocked on a build keep the slot alive even
-  /// after a failed build is evicted from the map.
-  struct PlanEntry {
-    bool done = false;
-    Status status;  // meaningful when done; failures are also evicted
-    std::shared_ptr<const core::CdagPlan> plan;  // set when done && ok
-    std::string scenario;
-    std::uint64_t epoch = 0;
-  };
-
-  /// Single-flight slot for an in-progress RegisterScenario. Followers
-  /// hold the shared_ptr, so the slot outlives its map entry.
-  struct RegEntry {
-    bool done = false;
-    Status status;
-    std::shared_ptr<const ScenarioBundle> bundle;
-  };
+  using PlanResult = Result<std::shared_ptr<const core::CdagPlan>>;
+  using BundleResult = Result<std::shared_ptr<const ScenarioBundle>>;
 
   struct Request {
     CdiQuery query;
     std::shared_ptr<const ScenarioBundle> bundle;
     std::uint64_t key = 0;
-    Clock::time_point submit_time;
     Clock::time_point deadline;  // Clock::time_point::max() = none
-    std::promise<QueryResponse> promise;
+    Waiter client;
   };
 
   /// Admission-time validation against the bundle's shared statistics.
@@ -300,29 +276,34 @@ class QueryServer {
                        const CdiQuery& query) const;
 
   void WorkerLoop();
+  /// Computes a popped request; answers it and its followers.
   void ExecuteRequest(Request request);
+  Result<CachedAnswer> Compute(const Request& request, CancelToken* token);
 
-  /// Records `epoch` as the latest seen for `scenario` and, when it
-  /// supersedes an older one, evicts every done cache / plan entry of the
-  /// older epochs (the stale-epoch leak fix: Replace'd bundles' results
-  /// must not be retained forever). Caller holds mu_.
+  /// The pipeline on the request's bundle and options (warm: seeded with
+  /// the bundle's warm-start edges).
+  Result<core::PipelineResult> RunPipeline(const Request& request,
+                                           const std::string& exposure,
+                                           const std::string& outcome,
+                                           CancelToken* token,
+                                           bool warm) const;
+
+  /// Advances results and plans to `epoch` for `scenario`, evicting its
+  /// older done entries. Caller holds mu_.
   void EvictStaleLocked(const std::string& scenario, std::uint64_t epoch);
 
-  /// Resolves the scenario's C-DAG plan for a planned request:
-  /// single-flight per (scenario, epoch, options) — the first request
-  /// builds the artifact (one full canonical-pair pipeline run + plan
-  /// construction) on its worker; concurrent planned requests block on
-  /// plan_ready_ until the build completes (observing their own
-  /// deadlines). A failed build propagates to current waiters and is
-  /// evicted so the next planned query rebuilds cleanly.
-  Result<std::shared_ptr<const core::CdagPlan>> GetOrBuildPlan(
-      const Request& request, CancelToken* token);
+  /// The scenario's C-DAG plan: built by the first request on its worker
+  /// (a canonical-pair pipeline run + CdagPlan::Build); concurrent
+  /// requests block until it ends or their deadline passes.
+  PlanResult GetOrBuildPlan(const Request& request, CancelToken* token);
 
   /// Fulfills one promise and bumps the per-response counters.
   void Respond(std::promise<QueryResponse>* promise, QueryResponse response);
-  QueryResponse ErrorResponse(Status status, std::uint64_t key,
-                              std::uint64_t epoch,
-                              Clock::time_point submit_time) const;
+  /// `source` applies to an answer; an error's source is kError.
+  QueryResponse MakeResponse(
+      Result<CachedAnswer> outcome, std::uint64_t key, std::uint64_t epoch,
+      Clock::time_point submit_time,
+      ResponseSource source = ResponseSource::kError) const;
 
   ScenarioRegistry* registry_;
   QueryServerOptions options_;
@@ -330,18 +311,14 @@ class QueryServer {
 
   mutable std::mutex mu_;
   std::condition_variable work_ready_;
-  /// Signalled when a plan build completes (success or failure).
-  std::condition_variable plan_ready_;
-  /// Signalled when a single-flight registration completes.
-  std::condition_variable reg_ready_;
   std::deque<Request> queue_;
-  /// In-progress RegisterScenario slots, by scenario name.
-  std::unordered_map<std::string, std::shared_ptr<RegEntry>> pending_reg_;
-  std::unordered_map<std::uint64_t, CacheEntry> cache_;
-  /// Scenario-level C-DAG plan artifacts, keyed by PlanCacheKey.
-  std::unordered_map<std::uint64_t, std::shared_ptr<PlanEntry>> plan_cache_;
-  /// Latest bundle epoch observed per scenario (drives stale eviction).
-  std::unordered_map<std::string, std::uint64_t> latest_epoch_;
+  SingleFlightCache<std::uint64_t, CachedAnswer, Waiter> results_;
+  SingleFlightCache<std::uint64_t, std::shared_ptr<const core::CdagPlan>,
+                    std::promise<PlanResult>>
+      plans_;
+  /// Never completed: the registry holds published bundles.
+  SingleFlightCache<std::string, std::monostate, std::promise<BundleResult>>
+      registrations_;
   /// Cancel tokens of currently-executing requests (for Shutdown).
   std::vector<CancelToken*> active_tokens_;
   bool stopping_ = false;

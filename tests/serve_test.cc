@@ -24,6 +24,7 @@
 #include "serve/metrics.h"
 #include "serve/query_server.h"
 #include "serve/scenario_registry.h"
+#include "serve/single_flight.h"
 #include "summarize/summarize.h"
 
 namespace cdi::serve {
@@ -115,6 +116,108 @@ class Gate {
   int arrived_ = 0;
   bool open_ = false;
 };
+
+// ----------------------------------------------------- SingleFlightCache
+
+using TestFlight = SingleFlightCache<std::uint64_t, std::string, int>;
+
+TEST(SingleFlightCacheTest, FailureIsNotRetainedAndNextJoinLeads) {
+  TestFlight cache;
+  cache.Claim(1, "s", 1);
+  ASSERT_EQ(cache.Find(1), FlightState::kPending);
+  cache.Attach(1, 10);
+  cache.Attach(1, 11);
+
+  // The failed leader abandons: both followers come back, nothing stays.
+  EXPECT_EQ(cache.Abandon(1), (std::vector<int>{10, 11}));
+  EXPECT_EQ(cache.Find(1), FlightState::kAbsent);
+  EXPECT_EQ(cache.size(), 0u);
+
+  // The next caller finds nothing and leads a fresh computation.
+  cache.Claim(1, "s", 1);
+  bool retained = false;
+  EXPECT_TRUE(cache.Complete(1, "value", &retained).empty());
+  EXPECT_TRUE(retained);
+  const std::string* done = nullptr;
+  ASSERT_EQ(cache.Find(1, &done), FlightState::kDone);
+  EXPECT_EQ(*done, "value");
+}
+
+TEST(SingleFlightCacheTest, SupersededCompletionAnswersWaitersButIsNotRetained) {
+  TestFlight cache;
+  EXPECT_EQ(cache.Advance("s", 1), 0u);
+  cache.Claim(1, "s", 1);
+  cache.Attach(1, 7);
+
+  // The epoch moves on while the claim runs: the sweep leaves it alone...
+  EXPECT_EQ(cache.Advance("s", 2), 0u);
+  EXPECT_EQ(cache.Find(1), FlightState::kPending);
+
+  // ...and its completion still answers the follower but is dropped.
+  bool retained = true;
+  EXPECT_EQ(cache.Complete(1, "stale", &retained), std::vector<int>{7});
+  EXPECT_FALSE(retained);
+  EXPECT_EQ(cache.Find(1), FlightState::kAbsent);
+  EXPECT_EQ(cache.size(), 0u);
+
+  // A claim under the current epoch is retained as usual.
+  cache.Claim(2, "s", 2);
+  cache.Complete(2, "fresh", &retained);
+  EXPECT_TRUE(retained);
+  EXPECT_EQ(cache.Find(2), FlightState::kDone);
+}
+
+TEST(SingleFlightCacheTest, SweepEvictsOnlyThatScopesDoneEntries) {
+  TestFlight cache;
+  cache.Advance("a", 1);
+  cache.Advance("b", 1);
+  cache.Claim(1, "a", 1);
+  cache.Complete(1, "a-done");
+  cache.Claim(2, "a", 1);  // stays pending
+  cache.Claim(3, "b", 1);
+  cache.Complete(3, "b-done");
+  cache.Claim(4, "a", 2);  // already at the new epoch
+  cache.Complete(4, "a-new");
+
+  EXPECT_EQ(cache.Advance("a", 2), 1u);
+  EXPECT_EQ(cache.Find(1), FlightState::kAbsent);
+  EXPECT_EQ(cache.Find(2), FlightState::kPending);
+  EXPECT_EQ(cache.Find(3), FlightState::kDone);
+  EXPECT_EQ(cache.Find(4), FlightState::kDone);
+  // No bump, no sweep.
+  EXPECT_EQ(cache.Advance("a", 2), 0u);
+  EXPECT_EQ(cache.Advance("a", 1), 0u);
+  EXPECT_EQ(cache.size(), 3u);
+
+  // The pending claim is refused at completion instead.
+  bool retained = true;
+  cache.Complete(2, "late", &retained);
+  EXPECT_FALSE(retained);
+  EXPECT_EQ(cache.Advance("a", 3), 1u);  // only entry 4 was left in "a"
+  EXPECT_EQ(cache.Find(3), FlightState::kDone);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(SingleFlightCacheTest, WaitersTakenAtShutdownAreReturnedExactlyOnce) {
+  TestFlight cache;
+  cache.Claim(1, "s", 1);
+  cache.Claim(2);  // untagged, as the registration tier uses it
+  cache.Attach(1, 10);
+  cache.Attach(1, 11);
+  cache.Attach(2, 20);
+
+  const std::vector<int> taken = cache.TakeWaiters();
+  EXPECT_EQ(std::multiset<int>(taken.begin(), taken.end()),
+            (std::multiset<int>{10, 11, 20}));
+  EXPECT_TRUE(cache.TakeWaiters().empty());
+
+  // The claims survive; their leaders end them with nobody left to answer.
+  EXPECT_EQ(cache.Find(1), FlightState::kPending);
+  EXPECT_TRUE(cache.Complete(1, "value").empty());
+  EXPECT_TRUE(cache.Abandon(2).empty());
+  EXPECT_EQ(cache.Find(1), FlightState::kDone);
+  EXPECT_EQ(cache.Find(2), FlightState::kAbsent);
+}
 
 // ------------------------------------------------------ ScenarioRegistry
 
@@ -533,6 +636,103 @@ TEST(QueryServerTest, ConcurrentPlannedFirstQueriesBuildPlanOnce) {
   const auto metrics = server.Metrics();
   EXPECT_EQ(metrics.plan_builds, 1u);
   EXPECT_EQ(metrics.plan_cache_entries, 1u);
+}
+
+/// A planned request whose plan is being built by another worker waits
+/// for the build only until its own deadline; the held leader's build is
+/// unaffected, is cached once released, and then serves the timed-out
+/// pair.
+TEST(QueryServerTest, PlanFollowerDeadlineExpiresWhileLeaderBuilds) {
+  ScenarioRegistry registry;
+  auto bundle = *registry.Register("covid", BuildCovid());
+  const auto& attrs = bundle->numeric_attributes;
+  ASSERT_GE(attrs.size(), 3u);
+
+  // Holds only the first request, after it has claimed the plan build.
+  Gate gate;
+  std::atomic<int> hook_calls{0};
+  QueryServerOptions options;
+  options.num_workers = 2;
+  options.pre_execute_hook = [&] {
+    if (hook_calls.fetch_add(1) == 0) gate.Arrive();
+  };
+  QueryServer server(&registry, options);
+
+  auto lead_q = Query(attrs[0], attrs[1]);
+  lead_q.mode = QueryMode::kPlanned;
+  auto leader = server.Submit(lead_q);
+  gate.WaitForArrivals(1);
+
+  auto follow_q = Query(attrs[1], attrs[2], /*timeout=*/0.2);
+  follow_q.mode = QueryMode::kPlanned;
+  const auto expired = server.Execute(follow_q);
+  EXPECT_EQ(expired.status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_NE(expired.status.message().find("plan build"), std::string::npos)
+      << expired.status.ToString();
+  EXPECT_EQ(expired.planned, nullptr);
+  EXPECT_EQ(server.Metrics().plan_builds, 0u);
+
+  gate.Open();
+  (void)leader.get();
+  auto metrics = server.Metrics();
+  EXPECT_EQ(metrics.plan_builds, 1u);
+  EXPECT_EQ(metrics.plan_cache_entries, 1u);
+
+  // The follower's failure was not retained: the pair now executes off
+  // the cached plan and matches a freshly built one.
+  follow_q.timeout_seconds = 0.0;
+  const auto served = server.Execute(follow_q);
+  const core::CdagPlan fresh = FreshPlan(*bundle);
+  const auto answer = fresh.AnswerPair(attrs[1], attrs[2]);
+  if (answer.ok()) {
+    ASSERT_TRUE(served.status.ok()) << served.status.ToString();
+    EXPECT_EQ(served.source, ResponseSource::kExecuted);
+    EXPECT_EQ(FormatPairAnswerPayload(*served.planned),
+              FormatPairAnswerPayload(*answer));
+  } else {
+    EXPECT_EQ(served.status.code(), answer.status().code());
+  }
+  metrics = server.Metrics();
+  EXPECT_EQ(metrics.plan_builds, 1u);
+  EXPECT_EQ(metrics.deadline_exceeded, 1u);
+}
+
+/// Shutdown fails a plan follower at once, without waiting for the held
+/// leader; the leader then unwinds on its cancelled token.
+TEST(QueryServerTest, ShutdownFailsPlanFollowersWithoutWaitingForLeader) {
+  ScenarioRegistry registry;
+  auto bundle = *registry.Register("covid", BuildCovid());
+  const auto& attrs = bundle->numeric_attributes;
+  ASSERT_GE(attrs.size(), 3u);
+
+  Gate gate;
+  std::atomic<int> hook_calls{0};
+  QueryServerOptions options;
+  options.num_workers = 2;
+  options.pre_execute_hook = [&] {
+    if (hook_calls.fetch_add(1) == 0) gate.Arrive();
+  };
+  QueryServer server(&registry, options);
+
+  auto lead_q = Query(attrs[0], attrs[1]);
+  lead_q.mode = QueryMode::kPlanned;
+  auto leader = server.Submit(lead_q);
+  gate.WaitForArrivals(1);
+  auto follow_q = Query(attrs[1], attrs[2]);
+  follow_q.mode = QueryMode::kPlanned;
+  auto follower = server.Submit(follow_q);
+  // The hook runs once the follower has joined the plan flight.
+  while (hook_calls.load() < 2) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  std::thread shutdown([&server] { server.Shutdown(); });
+  const auto cancelled = follower.get();  // the leader is still held
+  EXPECT_EQ(cancelled.status.code(), StatusCode::kCancelled);
+  gate.Open();
+  shutdown.join();
+  EXPECT_EQ(leader.get().status.code(), StatusCode::kCancelled);
+  EXPECT_EQ(server.Metrics().plan_builds, 0u);
 }
 
 // ------------------------------------------------- Epoch churn / staleness
