@@ -9,7 +9,6 @@
 
 #include "common/span.h"
 #include "common/thread_pool.h"
-#include "discovery/cached_ci.h"
 #include "discovery/ci_test.h"
 #include "discovery/subsets.h"
 #include "stats/correlation.h"
@@ -196,13 +195,14 @@ Result<CdagBuildResult> CdagBuilder::Build(
         "FisherZTest needs at least 5 complete rows, got " +
         std::to_string(rep_complete));
   }
-  // The cached engine computes the correlation matrix once (from the shared
-  // sufficient statistics) and memoizes every (x, y, S) query — pruning,
-  // augmentation and cycle repair all revisit the same pairs.
+  // The Fisher-z engine takes its correlation matrix from the shared
+  // sufficient statistics (no second pass over the rows) and answers each
+  // (x, y, S) query through its FactorCache, which shares the Cholesky
+  // factor of every conditioning set across the queries that reuse it.
   CDI_ASSIGN_OR_RETURN(stats::SufficientStats rep_stats,
                        stats::SufficientStats::Compute(rep_ds, pool.get()));
   CDI_ASSIGN_OR_RETURN(auto ci_test,
-                       discovery::CachedCiTest::ForGaussian(rep_stats));
+                       discovery::FisherZTest::Create(rep_stats));
   const std::size_t k = clusters.size();
 
   // ---- 5. Edge inference. ----------------------------------------------------

@@ -1,5 +1,6 @@
 #include "serve/line_protocol.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -230,6 +231,25 @@ std::string SanitizeMessage(std::string msg) {
   return msg;
 }
 
+/// Strict unsigned decimal for a `<field>=<value>` argument: digits only
+/// (no sign, blank, fraction or exponent) and no wraparound on overflow.
+Result<std::uint64_t> ParseUnsigned(const char* field,
+                                    const std::string& value) {
+  std::uint64_t v = 0;
+  const char* last = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), last, v);
+  if (ec == std::errc::result_out_of_range) {
+    return Status::InvalidArgument("bad " + std::string(field) + " value '" +
+                                   value + "' (out of range)");
+  }
+  if (ec != std::errc() || ptr != last) {
+    return Status::InvalidArgument("bad " + std::string(field) + " value '" +
+                                   value +
+                                   "' (expected a non-negative integer)");
+  }
+  return v;
+}
+
 }  // namespace
 
 std::string FormatResponseLine(const CdiQuery& query,
@@ -362,23 +382,12 @@ Result<ServerCommand> ParseCommandLine(const std::string& line) {
     while (in >> arg) {
       if (arg.rfind("grid=", 0) == 0) {
         cmd.grid_cell = arg.substr(5);
-      } else if (arg.rfind("entities=", 0) == 0 ||
-                 arg.rfind("seed=", 0) == 0) {
-        const bool is_seed = arg[0] == 's';
-        const std::string value = arg.substr(is_seed ? 5 : 9);
-        char* end = nullptr;
-        const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-        if (end == nullptr || *end != '\0' || value.empty()) {
-          return Status::InvalidArgument("bad " +
-                                         std::string(is_seed ? "seed"
-                                                             : "entities") +
-                                         " value '" + value + "'");
-        }
-        if (is_seed) {
-          cmd.generate_seed = v;
-        } else {
-          cmd.generate_entities = static_cast<std::size_t>(v);
-        }
+      } else if (arg.rfind("entities=", 0) == 0) {
+        CDI_ASSIGN_OR_RETURN(cmd.generate_entities,
+                             ParseUnsigned("entities", arg.substr(9)));
+      } else if (arg.rfind("seed=", 0) == 0) {
+        CDI_ASSIGN_OR_RETURN(cmd.generate_seed,
+                             ParseUnsigned("seed", arg.substr(5)));
       } else if (arg == "replace") {
         cmd.replace = true;
       } else {
@@ -402,21 +411,8 @@ Result<ServerCommand> ParseCommandLine(const std::string& line) {
     while (in >> arg) {
       if (arg.rfind("k=", 0) == 0) {
         const std::string value = arg.substr(2);
-        // Strict non-negative integer: strtoull would silently accept
-        // "-3" (wrapping) and "4.5" would need the end-pointer check, so
-        // require every character to be a digit up front.
-        bool digits = !value.empty();
-        for (char c : value) digits = digits && c >= '0' && c <= '9';
-        if (!digits) {
-          return Status::InvalidArgument(
-              "bad k value '" + value +
-              "' (expected a non-negative integer)");
-        }
-        char* end = nullptr;
-        const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-        if (end == nullptr || *end != '\0') {
-          return Status::InvalidArgument("bad k value '" + value + "'");
-        }
+        CDI_ASSIGN_OR_RETURN(const std::uint64_t v,
+                             ParseUnsigned("k", value));
         if (v < 2) {
           return Status::InvalidArgument(
               "summary budget k must be at least 2 (got " + value + ")");

@@ -1,6 +1,7 @@
 #include "serve/query_server.h"
 
 #include <algorithm>
+#include <new>
 #include <utility>
 
 #include "common/hash.h"
@@ -326,7 +327,17 @@ Result<std::shared_ptr<const ScenarioBundle>> QueryServer::RegisterScenario(
       return Status::AlreadyExists("scenario '" + name +
                                    "' is already registered");
     }
-    auto scenario = build();
+    // An allocation failure inside the builder is this registration's
+    // error, not the server's: it must not escape (terminating the
+    // process) or skip the Abandon below (wedging the name's claim).
+    auto scenario =
+        [&]() -> Result<std::shared_ptr<const datagen::Scenario>> {
+      try {
+        return build();
+      } catch (const std::bad_alloc&) {
+        return Status::ResourceExhausted("out of memory");
+      }
+    }();
     if (!scenario.ok()) {
       return Status(scenario.status().code(),
                     "building scenario '" + name +

@@ -168,7 +168,8 @@ class QueryServer {
  public:
   /// Builds (or loads) a scenario for RegisterScenario. Runs on the
   /// calling thread, outside every server lock; may be arbitrarily
-  /// expensive (grid materialization, CSV ingest).
+  /// expensive (grid materialization, CSV ingest). A std::bad_alloc it
+  /// throws fails the registration with kResourceExhausted.
   using ScenarioBuilder =
       std::function<Result<std::shared_ptr<const datagen::Scenario>>()>;
 

@@ -3,10 +3,12 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <cstring>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <set>
 #include <string>
 #include <thread>
@@ -372,8 +374,7 @@ TEST(QueryCacheKeyTest, OptionsFingerprintIgnoresExecutionStrategy) {
   b.num_threads = 8;
   b.builder.num_threads = 8;
   b.builder.discovery.num_threads = 8;
-  b.builder.discovery.use_ci_cache = !a.builder.discovery.use_ci_cache;
-  // Thread counts and the CI cache cannot change results (everything is
+  // Thread counts cannot change results (everything is
   // bitwise-deterministic), so they must share a result-cache entry.
   EXPECT_EQ(core::PipelineOptionsFingerprint(a),
             core::PipelineOptionsFingerprint(b));
@@ -1455,10 +1456,12 @@ TEST(LineProtocolTest, ParsesSummarizeCommand) {
     EXPECT_NE(p.status().message().find("at least 2"), std::string::npos)
         << "'" << bad << "': " << p.status().ToString();
   }
-  // Non-integer / negative / malformed k never reaches the server
-  // (strtoull would have silently wrapped the negatives).
+  // Non-integer / negative / malformed / overflowing k never reaches the
+  // server (strtoull would have wrapped or saturated them).
   for (const char* bad : {"summarize covid k=-3", "summarize covid k=4.5",
-                          "summarize covid k=abc", "summarize covid k="}) {
+                          "summarize covid k=abc", "summarize covid k=",
+                          "summarize covid k=+6",
+                          "summarize covid k=99999999999999999999"}) {
     auto p = ParseCommandLine(bad);
     EXPECT_FALSE(p.ok()) << "'" << bad << "'";
     EXPECT_EQ(p.status().code(), StatusCode::kInvalidArgument);
@@ -1892,6 +1895,82 @@ TEST(QueryServerTest, RegisterScenarioSingleFlightBuildsOnce) {
   server.Shutdown();
 }
 
+TEST(QueryServerTest, RegisterScenarioOutOfMemoryIsResourceExhausted) {
+  ScenarioRegistry registry;
+  ASSERT_TRUE(registry.Register("covid", BuildCovid()).ok());
+  QueryServer server(&registry);
+  const CdiQuery covid_q = Query("country_code", "covid_death_rate");
+  ASSERT_TRUE(server.Execute(covid_q).status.ok());
+
+  using Registered = Result<std::shared_ptr<const ScenarioBundle>>;
+  const std::string cell = "grid_c4_lin_cont_m0_p1_o0";
+  // An exception escaping RegisterScenario is reported as a failure here
+  // instead of ending the test binary.
+  auto register_guarded = [&](QueryServer::ScenarioBuilder build) {
+    try {
+      return server.RegisterScenario(cell, std::move(build));
+    } catch (const std::bad_alloc&) {
+      return Registered(Status::Internal("std::bad_alloc escaped"));
+    }
+  };
+  const auto out_of_memory =
+      []() -> Result<std::shared_ptr<const datagen::Scenario>> {
+    throw std::bad_alloc();
+  };
+
+  // The leader's builder holds until a follower has joined the pending
+  // registration, then runs out of memory. Should the follower miss the
+  // window and lead a build of its own, that build fails the same way.
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  auto leader = std::async(std::launch::async, [&] {
+    return register_guarded(
+        [&]() -> Result<std::shared_ptr<const datagen::Scenario>> {
+          entered.set_value();
+          released.wait();
+          throw std::bad_alloc();
+        });
+  });
+  entered.get_future().wait();
+  auto follower = std::async(std::launch::async,
+                             [&] { return register_guarded(out_of_memory); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  release.set_value();
+
+  const Registered led = leader.get();
+  EXPECT_EQ(led.status().code(), StatusCode::kResourceExhausted)
+      << led.status().ToString();
+  EXPECT_NE(led.status().message().find("building scenario '" + cell + "'"),
+            std::string::npos)
+      << led.status().ToString();
+  EXPECT_NE(led.status().message().find("out of memory"), std::string::npos)
+      << led.status().ToString();
+
+  // A claim left pending would block the follower forever; Shutdown fails
+  // it with kCancelled so the test can report that instead of hanging.
+  const bool follower_done = follower.wait_for(std::chrono::seconds(10)) ==
+                             std::future_status::ready;
+  if (!follower_done) server.Shutdown();
+  ASSERT_TRUE(follower_done) << "follower wedged on the failed registration";
+  const Registered followed = follower.get();
+  EXPECT_EQ(followed.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(followed.status().message(), led.status().message());
+
+  // The name's claim was released: a later registration builds normally,
+  // and both the new and the old scenario serve queries.
+  auto later = server.RegisterScenario(cell, GridBuilder(cell));
+  ASSERT_TRUE(later.ok()) << later.status().ToString();
+  CdiQuery grid_q;
+  grid_q.scenario = cell;
+  grid_q.exposure = "treatment_code";
+  grid_q.outcome = "outcome_score";
+  const auto grid_response = server.Execute(grid_q);
+  EXPECT_TRUE(grid_response.status.ok()) << grid_response.status.ToString();
+  EXPECT_TRUE(server.Execute(covid_q).status.ok());
+  server.Shutdown();
+}
+
 TEST(QueryServerTest, UnregisterSweepsOnlyThatScenariosCacheEntries) {
   ScenarioRegistry registry;
   (void)registry.Register("covid", BuildCovid());
@@ -2085,6 +2164,29 @@ TEST(LineProtocolTest, ParsesRegisterGenerateAndUnregister) {
   EXPECT_FALSE(gen->replace);
   EXPECT_EQ(ParseCommandLine("generate g entities=60").status().code(),
             StatusCode::kInvalidArgument);
+  // entities= and seed= are strict non-negative integers: a sign, a
+  // fraction or an overflowing value is rejected, never wrapped.
+  const std::vector<std::pair<std::string, std::string>> bad_generate = {
+      {"entities=-3", "bad entities value"},
+      {"seed=-1", "bad seed value"},
+      {"seed=+4", "bad seed value"},
+      {"entities=2.5", "bad entities value"},
+      {"entities=", "bad entities value"},
+      {"entities=99999999999999999999", "bad entities value"},
+      {"seed=18446744073709551616", "bad seed value"},
+  };
+  for (const auto& [arg, message] : bad_generate) {
+    const std::string line =
+        "generate g grid=grid_c4_lin_cont_m0_p1_o0 " + arg;
+    auto p = ParseCommandLine(line);
+    EXPECT_EQ(p.status().code(), StatusCode::kInvalidArgument) << line;
+    EXPECT_NE(p.status().message().find(message), std::string::npos)
+        << line << ": " << p.status().ToString();
+  }
+  auto max_seed = ParseCommandLine(
+      "generate g grid=grid_c4_lin_cont_m0_p1_o0 seed=18446744073709551615");
+  ASSERT_TRUE(max_seed.ok()) << max_seed.status().ToString();
+  EXPECT_EQ(max_seed->generate_seed, UINT64_MAX);
 
   auto unreg = ParseCommandLine("unregister mysc");
   ASSERT_TRUE(unreg.ok());
