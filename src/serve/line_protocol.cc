@@ -250,6 +250,23 @@ Result<std::uint64_t> ParseUnsigned(const char* field,
   return v;
 }
 
+/// The `<seconds>` of a `timeout=<seconds>` argument. strtod happily
+/// parses "-5", "nan" and "inf", each of which would silently mean "no
+/// deadline" downstream, so only finite non-negative numbers pass.
+Result<double> ParseTimeout(const std::string& value) {
+  char* end = nullptr;
+  const double seconds = std::strtod(value.c_str(), &end);
+  if (end == nullptr || *end != '\0' || value.empty()) {
+    return Status::InvalidArgument("bad timeout value '" + value + "'");
+  }
+  if (!std::isfinite(seconds) || seconds < 0.0) {
+    return Status::InvalidArgument(
+        "timeout must be a finite non-negative number of seconds, got '" +
+        value + "'");
+  }
+  return seconds;
+}
+
 }  // namespace
 
 std::string FormatResponseLine(const CdiQuery& query,
@@ -427,19 +444,8 @@ Result<ServerCommand> ParseCommandLine(const std::string& line) {
         }
         cmd.query.summarize_format = value;
       } else if (arg.rfind("timeout=", 0) == 0) {
-        char* end = nullptr;
-        const std::string value = arg.substr(8);
-        const double seconds = std::strtod(value.c_str(), &end);
-        if (end == nullptr || *end != '\0' || value.empty()) {
-          return Status::InvalidArgument("bad timeout value '" + value +
-                                         "'");
-        }
-        if (!std::isfinite(seconds) || seconds < 0.0) {
-          return Status::InvalidArgument(
-              "timeout must be a finite non-negative number of seconds, "
-              "got '" + value + "'");
-        }
-        cmd.query.timeout_seconds = seconds;
+        CDI_ASSIGN_OR_RETURN(cmd.query.timeout_seconds,
+                             ParseTimeout(arg.substr(8)));
       } else {
         return Status::InvalidArgument("unknown summarize argument '" + arg +
                                        "'");
@@ -469,20 +475,8 @@ Result<ServerCommand> ParseCommandLine(const std::string& line) {
   std::string extra;
   while (in >> extra) {
     if (extra.rfind("timeout=", 0) == 0) {
-      char* end = nullptr;
-      const std::string value = extra.substr(8);
-      const double seconds = std::strtod(value.c_str(), &end);
-      if (end == nullptr || *end != '\0' || value.empty()) {
-        return Status::InvalidArgument("bad timeout value '" + value + "'");
-      }
-      // strtod happily parses "-5", "nan", "inf" — all of which would
-      // silently mean "no deadline" downstream. Reject them here.
-      if (!std::isfinite(seconds) || seconds < 0.0) {
-        return Status::InvalidArgument(
-            "timeout must be a finite non-negative number of seconds, "
-            "got '" + value + "'");
-      }
-      cmd.query.timeout_seconds = seconds;
+      CDI_ASSIGN_OR_RETURN(cmd.query.timeout_seconds,
+                           ParseTimeout(extra.substr(8)));
     } else if (extra.rfind("mode=", 0) == 0) {
       const std::string value = extra.substr(5);
       if (value == "planned") {

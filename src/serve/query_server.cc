@@ -199,12 +199,19 @@ std::future<QueryResponse> QueryServer::Submit(CdiQuery query) {
 
   const std::uint64_t key = QueryCacheKey(*bundle, query);
   const std::uint64_t epoch = bundle->epoch;
-  const Clock::time_point deadline =
-      query.timeout_seconds > 0.0
-          ? submit_time + std::chrono::duration_cast<Clock::duration>(
-                              std::chrono::duration<double>(
-                                  query.timeout_seconds))
-          : Clock::time_point::max();
+  // A timeout too long to land before time_point::max() (~292 years and
+  // up, or +inf through the API) means "no deadline". The check runs in
+  // floating point before the cast, which would overflow.
+  Clock::time_point deadline = Clock::time_point::max();
+  if (query.timeout_seconds > 0.0) {
+    const Clock::duration room = deadline - submit_time;
+    if (query.timeout_seconds <
+        std::chrono::duration<double>(room).count()) {
+      const auto timeout = std::chrono::duration_cast<Clock::duration>(
+          std::chrono::duration<double>(query.timeout_seconds));
+      if (timeout < room) deadline = submit_time + timeout;
+    }
+  }
 
   CachedAnswer hit;
   {
@@ -268,24 +275,7 @@ Result<std::shared_ptr<const ScenarioBundle>> QueryServer::UpdateScenario(
     const std::string& name, const table::Table& row_batch) {
   const Clock::time_point start = Clock::now();
 
-  // Harvest the superseded epoch's discovery warm-seed (the algorithm's
-  // own preferred shape: PC skeleton / GES DAG / C-DAG definite edges)
-  // for the new epoch's first plan build. Best-effort: no snapshot or no
-  // built plan simply means a cold start.
-  std::vector<std::pair<std::string, std::string>> warm_edges;
-  if (auto old = registry_->Snapshot(name); old.ok()) {
-    CdiQuery probe;  // default options -> the bundle's fingerprint
-    probe.scenario = name;
-    const std::uint64_t plan_key = PlanCacheKey(**old, probe);
-    std::lock_guard<std::mutex> lock(mu_);
-    const std::shared_ptr<const core::CdagPlan>* plan = nullptr;
-    if (plans_.Find(plan_key, &plan) == FlightState::kDone) {
-      warm_edges = (*plan)->artifact().build.warm_seed;
-    }
-  }
-
-  auto updated =
-      registry_->UpdateScenario(name, row_batch, std::move(warm_edges));
+  auto updated = registry_->UpdateScenario(name, row_batch);
   if (!updated.ok()) return updated;
 
   metrics_.epoch_rollovers.fetch_add(1, std::memory_order_relaxed);
@@ -437,7 +427,7 @@ Result<QueryServer::CachedAnswer> QueryServer::Compute(const Request& request,
     if (options_.pre_execute_hook) options_.pre_execute_hook();
     CDI_ASSIGN_OR_RETURN(core::PipelineResult run,
                          RunPipeline(request, query.exposure, query.outcome,
-                                     token, /*warm=*/false));
+                                     token));
     answer.result =
         std::make_shared<const core::PipelineResult>(std::move(run));
     return answer;
@@ -477,15 +467,11 @@ Result<QueryServer::CachedAnswer> QueryServer::Compute(const Request& request,
 
 Result<core::PipelineResult> QueryServer::RunPipeline(
     const Request& request, const std::string& exposure,
-    const std::string& outcome, CancelToken* token, bool warm) const {
+    const std::string& outcome, CancelToken* token) const {
   core::PipelineOptions pipeline_options =
       request.query.options.has_value() ? *request.query.options
                                         : request.bundle->default_options;
   pipeline_options.num_threads = options_.pipeline_threads;
-  if (warm) {
-    pipeline_options.builder.warm_start_edges =
-        request.bundle->warm_start_edges;
-  }
   const datagen::Scenario& sc = *request.bundle->scenario;
   core::Pipeline pipeline(&sc.kg, &sc.lake, sc.oracle.get(), &sc.topics,
                           pipeline_options);
@@ -535,27 +521,19 @@ QueryServer::PlanResult QueryServer::GetOrBuildPlan(const Request& request,
     return leader.get();
   }
 
-  // Leader: run the scenario's canonical pair. Warm-start (opt-in) seeds
-  // discovery with the superseded epoch's C-DAG stashed by UpdateScenario;
-  // a warm run may converge differently than a cold one, and the seed is
-  // part of the options fingerprint, so the two never share cache keys.
-  const bool warm = options_.warm_start_plans &&
-                    !request.bundle->warm_start_edges.empty();
+  // Leader: run the scenario's canonical pair.
   const PlanResult plan = [&]() -> PlanResult {
     const datagen::Scenario& sc = *request.bundle->scenario;
     CDI_ASSIGN_OR_RETURN(core::PipelineResult run,
                          RunPipeline(request, sc.exposure_attribute,
-                                     sc.outcome_attribute, token, warm));
+                                     sc.outcome_attribute, token));
     CDI_ASSIGN_OR_RETURN(
         core::CdagPlan built,
         core::CdagPlan::Build(
             std::make_shared<const core::PipelineResult>(std::move(run))));
     return std::make_shared<const core::CdagPlan>(std::move(built));
   }();
-  if (plan.ok()) {
-    metrics_.plan_builds.fetch_add(1, std::memory_order_relaxed);
-    if (warm) metrics_.warm_start_hits.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (plan.ok()) metrics_.plan_builds.fetch_add(1, std::memory_order_relaxed);
 
   std::vector<std::promise<PlanResult>> followers;
   {

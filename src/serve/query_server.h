@@ -79,7 +79,8 @@ struct CdiQuery {
   /// core::PipelineOptionsFingerprint).
   std::optional<core::PipelineOptions> options;
   /// Relative deadline in seconds from submission (covers queueing AND
-  /// execution); <= 0 means no deadline.
+  /// execution); <= 0, NaN, or too long for the clock to represent
+  /// (~292 years and up, +inf) means no deadline.
   double timeout_seconds = 0.0;
 };
 
@@ -121,15 +122,6 @@ struct QueryServerOptions {
   /// `num_threads` handed to each pipeline run (results are
   /// bitwise-identical at any value, so this is pure latency tuning).
   int pipeline_threads = 1;
-  /// Warm-start planned builds: when a bundle carries warm_start_edges
-  /// (stashed by UpdateScenario from the superseded epoch's C-DAG), seed
-  /// the plan build's discovery stage with them instead of starting cold.
-  /// Off by default: a warm-started discovery run can legitimately
-  /// converge to a different graph than a cold one, so deployments that
-  /// verify served answers byte-for-byte against a cold pipeline (the
-  /// loadgen churn check) must leave this off. The seed is mixed into the
-  /// options fingerprint, so warm and cold plans never share cache keys.
-  bool warm_start_plans = false;
   /// Test hook: runs on the worker once per executed request — before a
   /// full-mode pipeline run; for planned and summarize requests, once the
   /// request has joined its scenario's plan flight, so a test can hold a
@@ -197,11 +189,9 @@ class QueryServer {
 
   /// Streaming row ingest through the serving layer: appends `row_batch`
   /// to the scenario (ScenarioRegistry::UpdateScenario — delta-refreshed
-  /// statistics, fresh epoch) and stashes the superseded epoch's C-DAG
-  /// edges on the new bundle as a warm-start seed for its first plan
-  /// build (consumed only when QueryServerOptions::warm_start_plans is
-  /// on). In-flight queries finish against the old snapshot; the next
-  /// touch under the new epoch evicts the superseded cache entries.
+  /// statistics, fresh epoch). In-flight queries finish against the old
+  /// snapshot; the next touch under the new epoch evicts the superseded
+  /// cache entries.
   /// Records epoch_rollovers / rows_appended / update-latency metrics.
   Result<std::shared_ptr<const ScenarioBundle>> UpdateScenario(
       const std::string& name, const table::Table& row_batch);
@@ -281,13 +271,11 @@ class QueryServer {
   void ExecuteRequest(Request request);
   Result<CachedAnswer> Compute(const Request& request, CancelToken* token);
 
-  /// The pipeline on the request's bundle and options (warm: seeded with
-  /// the bundle's warm-start edges).
+  /// The pipeline on the request's bundle and options.
   Result<core::PipelineResult> RunPipeline(const Request& request,
                                            const std::string& exposure,
                                            const std::string& outcome,
-                                           CancelToken* token,
-                                           bool warm) const;
+                                           CancelToken* token) const;
 
   /// Advances results and plans to `epoch` for `scenario`, evicting its
   /// older done entries. Caller holds mu_.

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <new>
@@ -74,13 +75,14 @@ CdiQuery SummarizeQuery(std::size_t k, const std::string& format = "dot",
 
 /// Freshly builds the scenario's C-DAG plan exactly the way the serving
 /// layer does on a planned-mode miss: a full canonical-pair pipeline run
-/// + CdagPlan::Build. The planner determinism contract says served
-/// answers must match this byte for byte.
+/// over the bundle's live table + CdagPlan::Build. The planner
+/// determinism contract says served answers must match this byte for
+/// byte.
 core::CdagPlan FreshPlan(const ScenarioBundle& bundle) {
   const datagen::Scenario& sc = *bundle.scenario;
   core::Pipeline pipeline(&sc.kg, &sc.lake, sc.oracle.get(), &sc.topics,
                           bundle.default_options);
-  auto run = pipeline.Run(sc.input_table, sc.spec.entity_column,
+  auto run = pipeline.Run(*bundle.input, sc.spec.entity_column,
                           sc.exposure_attribute, sc.outcome_attribute);
   EXPECT_TRUE(run.ok()) << run.status().ToString();
   auto plan = core::CdagPlan::Build(
@@ -301,8 +303,7 @@ TEST(ScenarioRegistryTest, UpdateScenarioDeltaRefreshesStatsBitwise) {
   for (std::size_t r = 0; r < 25; ++r) picks.push_back(r);
   const table::Table batch = old_bundle->input->TakeRows(picks);
 
-  auto updated = registry.UpdateScenario(
-      "covid", batch, {{"mobility", "infection pressure"}});
+  auto updated = registry.UpdateScenario("covid", batch);
   ASSERT_TRUE(updated.ok()) << updated.status().ToString();
   const auto fresh_bundle = *updated;
   EXPECT_GT(fresh_bundle->epoch, old_bundle->epoch);
@@ -311,8 +312,6 @@ TEST(ScenarioRegistryTest, UpdateScenarioDeltaRefreshesStatsBitwise) {
   EXPECT_EQ(fresh_bundle->scenario.get(), old_bundle->scenario.get());
   EXPECT_EQ(fresh_bundle->numeric_attributes,
             old_bundle->numeric_attributes);
-  ASSERT_EQ(fresh_bundle->warm_start_edges.size(), 1u);
-  EXPECT_EQ(fresh_bundle->warm_start_edges[0].first, "mobility");
 
   // The superseded snapshot is untouched for in-flight queries.
   EXPECT_EQ(old_bundle->input->num_rows(), old_rows);
@@ -1152,9 +1151,16 @@ TEST(QueryServerTest, MidExecutionDeadlineCancelsThePipelineRun) {
   EXPECT_EQ(expired.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(expired.result, nullptr);
 
-  auto retry = server.Execute(Query(attrs[0], attrs[1]));
-  ASSERT_TRUE(retry.status.ok()) << retry.status.ToString();
-  EXPECT_EQ(retry.source, ResponseSource::kExecuted);
+  // Timeouts too long to land before the clock's end (~292 years and up,
+  // +inf through the API) mean "no deadline", not an instant expiry.
+  for (const double timeout :
+       {0.0, 1e10, std::numeric_limits<double>::infinity()}) {
+    server.InvalidateCache();
+    auto retry = server.Execute(Query(attrs[0], attrs[1], timeout));
+    EXPECT_TRUE(retry.status.ok())
+        << "timeout=" << timeout << ": " << retry.status.ToString();
+    EXPECT_EQ(retry.source, ResponseSource::kExecuted) << timeout;
+  }
 }
 
 // -------------------------------------------------------------- Shutdown
@@ -1210,9 +1216,9 @@ TEST(QueryServerTest, InvalidateCacheDropsCompletedEntriesOnly) {
 
 /// UpdateScenario through the server: answers served after the rollover
 /// must equal — byte for byte — a direct Pipeline::Run on the grown
-/// table, the previous epoch's plan seeds the new bundle's warm-start
-/// edges, and the streaming counters tick.
-TEST(QueryServerTest, UpdateScenarioServesFreshAnswersAndStashesWarmEdges) {
+/// table (full mode) and a plan freshly built from the new bundle
+/// (planned and summarize modes), and the streaming counters tick.
+TEST(QueryServerTest, UpdateScenarioServesFreshAnswers) {
   ScenarioRegistry registry;
   auto bundle = *registry.Register("covid", BuildCovid());
   const auto& attrs = bundle->numeric_attributes;
@@ -1220,8 +1226,8 @@ TEST(QueryServerTest, UpdateScenarioServesFreshAnswersAndStashesWarmEdges) {
   options.num_workers = 2;
   QueryServer server(&registry, options);
 
-  // Build the epoch-1 plan (planned query) so the update has warm edges
-  // to harvest, plus a full-mode answer to go stale.
+  // Build the epoch-1 plan (planned query) and a full-mode answer, so
+  // both cache tiers hold entries the rollover must retire.
   auto planned = Query(attrs[0], attrs[1]);
   planned.mode = QueryMode::kPlanned;
   (void)server.Execute(planned);
@@ -1236,13 +1242,6 @@ TEST(QueryServerTest, UpdateScenarioServesFreshAnswersAndStashesWarmEdges) {
   auto updated = server.UpdateScenario("covid", batch);
   ASSERT_TRUE(updated.ok()) << updated.status().ToString();
   EXPECT_GT((*updated)->epoch, bundle->epoch);
-
-  // Warm edges harvested from the superseded epoch's built plan — the
-  // discovery warm-seed shape (== definite edges for the hybrid mode).
-  const core::CdagPlan fresh = FreshPlan(*bundle);
-  EXPECT_EQ((*updated)->warm_start_edges, fresh.artifact().build.warm_seed);
-  EXPECT_EQ(fresh.artifact().build.warm_seed,
-            fresh.artifact().build.definite);
 
   auto after = server.Execute(q);
   ASSERT_TRUE(after.status.ok()) << after.status.ToString();
@@ -1259,60 +1258,47 @@ TEST(QueryServerTest, UpdateScenarioServesFreshAnswersAndStashesWarmEdges) {
               FormatResultPayload(*direct));
   }
 
+  // Every planned pair and a summary off the new epoch's plan.
+  const core::CdagPlan fresh = FreshPlan(**updated);
+  for (const auto& t : attrs) {
+    for (const auto& o : attrs) {
+      if (t == o) continue;
+      auto pq = Query(t, o);
+      pq.mode = QueryMode::kPlanned;
+      auto response = server.Execute(pq);
+      auto answer = fresh.AnswerPair(t, o);
+      if (answer.ok()) {
+        ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+        EXPECT_EQ(FormatPairAnswerPayload(*response.planned),
+                  FormatPairAnswerPayload(*answer))
+            << t << " -> " << o;
+        EXPECT_EQ(response.scenario_epoch, (*updated)->epoch);
+      } else {
+        EXPECT_EQ(response.status.code(), answer.status().code());
+      }
+    }
+  }
+  const auto& cdag = fresh.artifact().build.cdag;
+  ASSERT_GE(cdag.num_clusters(), 3u);
+  summarize::SummarizeOptions sopts;
+  sopts.budget = cdag.num_clusters() - 1;
+  auto direct_summary = summarize::SummarizeClusterDag(cdag, sopts);
+  ASSERT_TRUE(direct_summary.ok()) << direct_summary.status().ToString();
+  auto summary = server.Execute(SummarizeQuery(sopts.budget));
+  ASSERT_TRUE(summary.status.ok()) << summary.status.ToString();
+  EXPECT_EQ(summary.scenario_epoch, (*updated)->epoch);
+  EXPECT_EQ(summary.summary->dot, direct_summary->ToDot());
+  EXPECT_EQ(summary.summary->json, direct_summary->ToJson());
+
   const auto metrics = server.Metrics();
   EXPECT_EQ(metrics.epoch_rollovers, 1u);
   EXPECT_EQ(metrics.rows_appended, 30u);
   EXPECT_EQ(metrics.update_latency.total_count, 1u);
+  EXPECT_EQ(metrics.plan_builds, 2u);  // one per epoch
 
   // Unknown scenario surfaces the registry error untouched.
   EXPECT_EQ(server.UpdateScenario("nope", batch).status().code(),
             StatusCode::kNotFound);
-}
-
-/// With warm_start_plans on, the post-update plan build consumes the
-/// stashed seed (warm_start_hits ticks) and still answers every pair the
-/// cold plan answers.
-TEST(QueryServerTest, WarmStartedPlanRebuildAnswersAllPairs) {
-  ScenarioRegistry registry;
-  auto bundle = *registry.Register("covid", BuildCovid());
-  const auto& attrs = bundle->numeric_attributes;
-  QueryServerOptions options;
-  options.num_workers = 2;
-  options.warm_start_plans = true;
-  QueryServer server(&registry, options);
-
-  auto planned = Query(attrs[0], attrs[1]);
-  planned.mode = QueryMode::kPlanned;
-  auto cold = server.Execute(planned);
-  ASSERT_TRUE(cold.status.ok()) << cold.status.ToString();
-  EXPECT_EQ(server.Metrics().warm_start_hits, 0u);  // epoch 1 had no seed
-
-  std::vector<std::size_t> picks;
-  for (std::size_t r = 0; r < 20; ++r) picks.push_back(r);
-  auto updated =
-      server.UpdateScenario("covid", bundle->input->TakeRows(picks));
-  ASSERT_TRUE(updated.ok()) << updated.status().ToString();
-  ASSERT_FALSE((*updated)->warm_start_edges.empty());
-
-  int answered = 0;
-  for (const auto& t : attrs) {
-    for (const auto& o : attrs) {
-      if (t == o) continue;
-      auto q = Query(t, o);
-      q.mode = QueryMode::kPlanned;
-      auto response = server.Execute(q);
-      if (response.status.ok()) {
-        ++answered;
-        EXPECT_EQ(response.scenario_epoch, (*updated)->epoch);
-      } else {
-        EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument);
-      }
-    }
-  }
-  EXPECT_GT(answered, 0);
-  const auto metrics = server.Metrics();
-  EXPECT_EQ(metrics.plan_builds, 2u);      // one cold, one warm
-  EXPECT_EQ(metrics.warm_start_hits, 1u);  // only the rebuild had a seed
 }
 
 // ---------------------------------------------------------Line protocol
@@ -1397,7 +1383,7 @@ TEST(LineProtocolTest, RejectsNonFiniteAndNegativeTimeouts) {
   for (const auto& [arg, want] :
        std::vector<std::pair<const char*, double>>{
            {"timeout=0", 0.0}, {"timeout=0.25", 0.25},
-           {"timeout=1e-3", 1e-3}}) {
+           {"timeout=1e-3", 1e-3}, {"timeout=1e300", 1e300}}) {
     auto parsed = ParseCommandLine(std::string("query covid a b ") + arg);
     ASSERT_TRUE(parsed.ok()) << arg << ": " << parsed.status().ToString();
     EXPECT_DOUBLE_EQ(parsed->query.timeout_seconds, want) << arg;
@@ -1493,7 +1479,11 @@ TEST(LineProtocolTest, SummarizeResponseLineCarriesModeAndPayload) {
       FreshPlan(*bundle).artifact().build.cdag.num_clusters();
   QueryServer server(&registry);
 
-  const auto q = SummarizeQuery(n - 1);
+  // A timeout far past the clock's range parses and means "no deadline".
+  const auto parsed = ParseCommandLine(
+      "summarize covid k=" + std::to_string(n - 1) + " timeout=1e300");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const auto q = parsed->query;
   const auto response = server.Execute(q);
   ASSERT_TRUE(response.status.ok()) << response.status.ToString();
   const auto line = FormatResponseLine(q, response);
@@ -1613,28 +1603,23 @@ TEST(MetricsTest, StreamingCountersSubtractAndRender) {
   ServerMetrics metrics;
   metrics.epoch_rollovers.store(2);
   metrics.rows_appended.store(50);
-  metrics.warm_start_hits.store(1);
   metrics.update_latency.Record(2e-3);
   const auto before = metrics.Snapshot();
   EXPECT_EQ(before.epoch_rollovers, 2u);
   EXPECT_EQ(before.rows_appended, 50u);
-  EXPECT_EQ(before.warm_start_hits, 1u);
   EXPECT_EQ(before.update_latency.total_count, 1u);
 
   metrics.epoch_rollovers.store(3);
   metrics.rows_appended.store(75);
-  metrics.warm_start_hits.store(3);
   metrics.update_latency.Record(4e-3);
   const auto delta = metrics.Snapshot().Since(before);
   EXPECT_EQ(delta.epoch_rollovers, 1u);
   EXPECT_EQ(delta.rows_appended, 25u);
-  EXPECT_EQ(delta.warm_start_hits, 2u);
   EXPECT_EQ(delta.update_latency.total_count, 1u);
 
   const std::string line = metrics.Snapshot().ToLine();
   EXPECT_NE(line.find("epoch_rollovers=3"), std::string::npos) << line;
   EXPECT_NE(line.find("rows_appended=75"), std::string::npos) << line;
-  EXPECT_NE(line.find("warm_start_hits=3"), std::string::npos) << line;
   EXPECT_NE(line.find("update_p99_us="), std::string::npos) << line;
 }
 
