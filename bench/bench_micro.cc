@@ -15,6 +15,7 @@
 #include "common/thread_pool.h"
 #include "core/pipeline.h"
 #include "core/evaluation.h"
+#include "core/knowledge_extractor.h"
 #include "core/plan.h"
 #include "core/varclus.h"
 #include "datagen/covid.h"
@@ -526,6 +527,41 @@ void BM_PipelineEndToEnd(benchmark::State& state) {
   state.SetLabel(covid ? "covid" : "flights");
 }
 BENCHMARK(BM_PipelineEndToEnd)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+/// The Knowledge Extractor alone (KG properties, one lake join, relevance
+/// scoring) on the ingest workload's churned grid cell at 240 entities
+/// (Arg 0) and on COVID-500 (Arg 1) — the stage a plan rebuild after an
+/// `update` spends most of its time in.
+void BM_KnowledgeExtract(benchmark::State& state) {
+  static const cdi::datagen::Scenario* scenarios[2] = {
+      [] {
+        auto built = cdi::datagen::BuildGridScenario(
+            "grid_c6_lin_cont_m0_p2_o1", 240);
+        CDI_CHECK(built.ok()) << built.status().ToString();
+        return std::move(built).value().release();
+      }(),
+      [] {
+        auto spec = cdi::datagen::CovidSpec();
+        spec.num_entities = 500;
+        auto built = cdi::datagen::BuildScenario(spec);
+        CDI_CHECK(built.ok()) << built.status().ToString();
+        return std::move(built).value().release();
+      }()};
+  const auto& sc = *scenarios[state.range(0)];
+  const cdi::core::KnowledgeExtractor extractor(
+      &sc.kg, &sc.lake, cdi::core::DefaultEvaluationOptions(sc).extractor);
+  for (auto _ : state) {
+    cdi::LatencyMeter meter;
+    auto extracted =
+        extractor.Extract(sc.input_table, sc.spec.entity_column,
+                          sc.exposure_attribute, sc.outcome_attribute, &meter);
+    CDI_CHECK(extracted.ok());
+    benchmark::DoNotOptimize(extracted->attributes.size());
+  }
+  state.SetLabel(state.range(0) == 0 ? "grid_c6_lin_cont_m0_p2_o1-240"
+                                     : "covid-500");
+}
+BENCHMARK(BM_KnowledgeExtract)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_DSeparation(benchmark::State& state) {
   Rng rng(17);

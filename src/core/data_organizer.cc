@@ -65,22 +65,27 @@ Result<OrganizerResult> DataOrganizer::Organize(
   const std::vector<double> o_vals = ocol->ToDoubles();
 
   // ---- 2. Functional dependencies with exposure/outcome. --------------------
+  // Spearman catches monotone-but-nonlinear deterministic relations (e.g. a
+  // calling code that is a monotone function of the exposure). The exposure
+  // and outcome are sorted once for the whole screen.
+  const std::vector<std::size_t> t_order = stats::ValueOrder(t_vals);
+  const std::vector<std::size_t> o_order = stats::ValueOrder(o_vals);
   for (const auto& name : t.ColumnNames()) {
     if (name == exposure || name == outcome || name == entity_column) continue;
     CDI_ASSIGN_OR_RETURN(const table::Column* col, t.GetColumn(name));
     bool drop = false;
     if (table::IsNumeric(col->type())) {
-      // Spearman catches monotone-but-nonlinear deterministic relations
-      // (e.g. a calling code that is a monotone function of the exposure).
       const cdi::DoubleSpan vals = col->View();
-      auto assoc = [](cdi::DoubleSpan a, cdi::DoubleSpan b) {
-        const double rp = stats::PearsonCorrelation(a, b);
-        const double rs = stats::SpearmanCorrelation(a, b);
+      const std::vector<std::size_t> order = stats::ValueOrder(vals);
+      auto assoc = [&](cdi::DoubleSpan b,
+                       const std::vector<std::size_t>& b_order) {
+        const double rp = stats::PearsonCorrelation(vals, b);
+        const double rs = stats::SpearmanCorrelation(vals, order, b, b_order);
         return std::max(std::isnan(rp) ? 0.0 : std::fabs(rp),
                         std::isnan(rs) ? 0.0 : std::fabs(rs));
       };
-      if (assoc(vals, t_vals) >= options_.fd_correlation_threshold ||
-          assoc(vals, o_vals) >= options_.fd_correlation_threshold) {
+      if (assoc(t_vals, t_order) >= options_.fd_correlation_threshold ||
+          assoc(o_vals, o_order) >= options_.fd_correlation_threshold) {
         drop = true;
       }
     } else if (col->type() == table::DataType::kString &&

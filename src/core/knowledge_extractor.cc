@@ -2,15 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <set>
-#include <unordered_map>
+#include <utility>
 
 #include "common/span.h"
-#include "common/string_util.h"
 #include "stats/correlation.h"
-#include "stats/independence.h"
 #include "stats/descriptive.h"
+#include "stats/independence.h"
 
 namespace cdi::core {
 
@@ -22,18 +20,32 @@ double AbsCorr(cdi::DoubleSpan a, cdi::DoubleSpan b) {
   return std::isnan(r) ? 0.0 : std::fabs(r);
 }
 
-/// Outlier-robust association: max of |Pearson| and |Spearman|.
-double RobustAbsCorr(cdi::DoubleSpan a, cdi::DoubleSpan b) {
-  const double s = stats::SpearmanCorrelation(a, b);
-  return std::max(AbsCorr(a, b), std::isnan(s) ? 0.0 : std::fabs(s));
-}
-
 std::size_t PairwiseCount(cdi::DoubleSpan a, cdi::DoubleSpan b) {
   std::size_t n = 0;
   for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
     if (!std::isnan(a[i]) && !std::isnan(b[i])) ++n;
   }
   return n;
+}
+
+/// A numeric column with the rank order and 3-bin codes its pairwise
+/// relevance statistics need, computed once.
+struct Ranked {
+  Ranked(cdi::DoubleSpan v, bool binned)
+      : vals(v), order(stats::ValueOrder(v)) {
+    if (binned) bins = stats::QuantileBin(vals, order, 3);
+  }
+
+  cdi::DoubleSpan vals;
+  std::vector<std::size_t> order;
+  std::vector<int> bins;
+};
+
+/// Outlier-robust association: max of |Pearson| and |Spearman|.
+double RobustAbsCorr(const Ranked& a, const Ranked& b) {
+  const double s =
+      stats::SpearmanCorrelation(a.vals, a.order, b.vals, b.order);
+  return std::max(AbsCorr(a.vals, b.vals), std::isnan(s) ? 0.0 : std::fabs(s));
 }
 
 }  // namespace
@@ -56,37 +68,41 @@ Result<ExtractionResult> KnowledgeExtractor::Extract(
   // Relevance references: the exposure, the outcome, and every observed
   // numeric input attribute — an extracted attribute associated with any
   // variable already in the analysis is a candidate parent/child of it and
-  // therefore relevant for the causal DAG.
-  std::vector<DoubleSpan> reference_vals = {t_vals, o_vals};
+  // therefore relevant for the causal DAG. Each reference is sorted and
+  // binned once; a candidate pays one sort and one binning of its own.
+  const bool binned = options_.nonlinear_relevance;
+  std::vector<Ranked> references = {Ranked(t_vals, binned),
+                                    Ranked(o_vals, binned)};
   for (const auto& name : input.ColumnNames()) {
     if (name == entity_column || name == exposure || name == outcome) continue;
     auto col = input.GetColumn(name);
     if (col.ok() && table::IsNumeric((*col)->type())) {
-      reference_vals.push_back((*col)->View());
+      references.emplace_back((*col)->View(), binned);
     }
   }
   // Relevance of a numeric column: strongest robust association with any
-  // reference, with its significance.
+  // reference, with its significance. References 0 and 1 are the exposure
+  // and the outcome.
   auto score_relevance = [&](DoubleSpan vals,
                              double* corr_t, double* corr_o,
                              double* relevance, bool* significant) {
-    *corr_t = RobustAbsCorr(vals, t_vals);
-    *corr_o = RobustAbsCorr(vals, o_vals);
+    const Ranked cand(vals, binned);
     *relevance = 0.0;
     double best_p = 1.0;
-    for (const auto& ref : reference_vals) {
-      const double r = RobustAbsCorr(vals, ref);
-      const std::size_t n = PairwiseCount(vals, ref);
+    for (std::size_t k = 0; k < references.size(); ++k) {
+      const double r = RobustAbsCorr(cand, references[k]);
+      if (k == 0) *corr_t = r;
+      if (k == 1) *corr_o = r;
+      const std::size_t n = PairwiseCount(vals, references[k].vals);
       best_p = std::min(best_p, stats::FisherZPValue(r, n, 0));
       *relevance = std::max(*relevance, r);
     }
-    if (options_.nonlinear_relevance) {
+    if (binned) {
       // Binned chi-square catches non-monotone associations Pearson and
       // Spearman both miss (e.g. a U-shaped confounder). Cramer's V serves
       // as its effect size for the magnitude floor.
-      const auto bv = stats::QuantileBin(vals, 3);
-      for (const auto& ref : reference_vals) {
-        auto r = stats::ChiSquareIndependence(bv, stats::QuantileBin(ref, 3));
+      for (const auto& ref : references) {
+        auto r = stats::ChiSquareIndependence(cand.bins, ref.bins);
         if (r.ok()) {
           best_p = std::min(best_p, r->p_value);
           if (r->p_value < options_.relevance_alpha) {
@@ -99,7 +115,7 @@ Result<ExtractionResult> KnowledgeExtractor::Extract(
     // not slip in just because many references were tried.
     *significant =
         best_p < options_.relevance_alpha /
-                     static_cast<double>(reference_vals.size());
+                     static_cast<double>(references.size());
   };
 
   std::vector<std::string> keys;
@@ -147,66 +163,46 @@ Result<ExtractionResult> KnowledgeExtractor::Extract(
 
   // ---- Data-lake extraction. ----------------------------------------------
   if (lake_ != nullptr) {
-    // Rank joinable numeric columns by association with the outcome, then
-    // with the exposure, merging the two searches.
-    CDI_ASSIGN_OR_RETURN(
-        auto by_outcome,
-        lake_->FindCorrelatedColumns(keys, o_vals, options_.min_containment,
-                                     meter));
-    CDI_ASSIGN_OR_RETURN(
-        auto by_exposure,
-        lake_->FindCorrelatedColumns(keys, t_vals, options_.min_containment,
-                                     nullptr));  // second pass reuses scans
-    std::map<std::pair<std::size_t, std::string>, double> corr_o, corr_t;
-    for (const auto& c : by_outcome) {
-      corr_o[{c.table_index, c.value_column}] = c.abs_correlation;
-    }
-    for (const auto& c : by_exposure) {
-      corr_t[{c.table_index, c.value_column}] = c.abs_correlation;
-    }
-    // Materialize each candidate column aligned to the input rows.
+    std::vector<knowledge::DataLake::JoinedColumn> joined =
+        lake_->JoinNumericColumns(keys, options_.min_containment, meter);
+    // COCOA-style ranking of the joined columns by |Pearson| with a target;
+    // a column whose correlation is undefined is left out of that ranking.
+    auto rank_by = [&](DoubleSpan target) {
+      std::vector<std::pair<double, std::size_t>> ranked;
+      for (std::size_t i = 0; i < joined.size(); ++i) {
+        const double r = stats::PearsonCorrelation(joined[i].values, target);
+        if (!std::isnan(r)) ranked.emplace_back(std::fabs(r), i);
+      }
+      std::stable_sort(ranked.begin(), ranked.end(),
+                       [](const auto& a, const auto& b) {
+                         return a.first > b.first;
+                       });
+      return ranked;
+    };
+    // Candidates by association with the outcome, then with the exposure;
+    // a (table, column) pair reached again (another key column, or the
+    // second ranking) is skipped. Both rankings are taken before any
+    // column's values move into its candidate.
+    const auto by_outcome = rank_by(o_vals);
+    const auto by_exposure = rank_by(t_vals);
     std::set<std::pair<std::size_t, std::string>> seen;
-    auto add_lake_candidates =
-        [&](const std::vector<knowledge::DataLake::AugmentationCandidate>&
-                list) -> Status {
-      for (const auto& c : list) {
-        if (!seen.insert({c.table_index, c.value_column}).second) continue;
+    for (const auto* ranked : {&by_outcome, &by_exposure}) {
+      for (const auto& entry : *ranked) {
+        knowledge::DataLake::JoinedColumn& jc = joined[entry.second];
+        if (!seen.insert({jc.table_index, jc.value_column}).second) continue;
         ++result.lake_columns_found;
-        const table::Table& src = lake_->tables()[c.table_index];
-        CDI_ASSIGN_OR_RETURN(const table::Column* kcol,
-                             src.GetColumn(c.key_column));
-        CDI_ASSIGN_OR_RETURN(const table::Column* vcol,
-                             src.GetColumn(c.value_column));
-        // Mean per normalized key (handles duplicates and 1:N tables).
-        std::unordered_map<std::string, std::pair<double, double>> agg;
-        for (std::size_t r = 0; r < src.num_rows(); ++r) {
-          if (kcol->IsNull(r) || vcol->IsNull(r)) continue;
-          auto& [sum, count] =
-              agg[NormalizeEntityName(kcol->Get(r).ToString())];
-          sum += vcol->NumericAt(r);
-          count += 1;
-        }
-        std::vector<double> aligned(keys.size(), std::nan(""));
-        for (std::size_t i = 0; i < keys.size(); ++i) {
-          auto it = agg.find(NormalizeEntityName(keys[i]));
-          if (it != agg.end() && it->second.second > 0) {
-            aligned[i] = it->second.first / it->second.second;
-          }
-        }
-        Candidate cand{table::Column::FromDoubles(c.value_column, aligned),
-                       {},
-                       0.0};
-        cand.info.name = c.value_column;
-        cand.info.source = src.name();
-        score_relevance(aligned, &cand.info.corr_with_exposure,
+        Candidate cand{
+            table::Column::FromDoubles(jc.value_column, std::move(jc.values)),
+            {},
+            0.0};
+        cand.info.name = jc.value_column;
+        cand.info.source = lake_->tables()[jc.table_index].name();
+        score_relevance(cand.column.View(), &cand.info.corr_with_exposure,
                         &cand.info.corr_with_outcome, &cand.relevance,
                         &cand.significant);
         candidates.push_back(std::move(cand));
       }
-      return Status::OK();
-    };
-    CDI_RETURN_IF_ERROR(add_lake_candidates(by_outcome));
-    CDI_RETURN_IF_ERROR(add_lake_candidates(by_exposure));
+    }
   }
 
   // ---- Relevance filter + assembly. ----------------------------------------

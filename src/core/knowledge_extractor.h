@@ -41,7 +41,8 @@ struct ExtractedAttribute {
   double corr_with_exposure = 0.0;
   double corr_with_outcome = 0.0;
   bool kept = true;
-  /// Why it was dropped, when !kept ("irrelevant", "duplicate-name").
+  /// Why it was dropped, when !kept: "irrelevant", "attribute-budget"
+  /// (over `max_attributes`) or "duplicate-name".
   std::string drop_reason;
 };
 
@@ -57,7 +58,8 @@ struct ExtractionResult {
 /// for the entities of the input table from a knowledge graph (entity
 /// linking + property extraction + link following) and a data lake
 /// (joinability search + correlation-aware column selection), then filters
-/// them for relevance to the causal question.
+/// them for relevance to the causal question. Per call, the lake is joined
+/// once, and each reference and candidate column is sorted and binned once.
 class KnowledgeExtractor {
  public:
   KnowledgeExtractor(const knowledge::KnowledgeGraph* kg,

@@ -4,17 +4,15 @@
 #include <string>
 #include <vector>
 
-#include "common/span.h"
-#include "common/status.h"
 #include "common/timer.h"
 #include "table/table.h"
 
 namespace cdi::knowledge {
 
 /// A corpus of tables standing in for an open-data lake (data.gov, FRED).
-/// Provides the two discovery primitives the paper cites: joinability
-/// search by key containment (JOSIE-style) and correlation-aware column
-/// selection against a target column (COCOA-style).
+/// Provides the discovery step the paper cites as one join: joinability
+/// search by key containment (JOSIE-style), returning the joinable numeric
+/// columns aligned for correlation-aware selection (COCOA-style).
 class DataLake {
  public:
   /// Nominal latency charged per table scanned (a catalog/API request).
@@ -27,38 +25,33 @@ class DataLake {
   const std::vector<table::Table>& tables() const { return tables_; }
   std::size_t num_tables() const { return tables_.size(); }
 
-  /// A column in a lake table that can be equi-joined with the input keys.
-  struct JoinCandidate {
-    std::size_t table_index = 0;
-    std::string key_column;
-    /// Fraction of distinct input key values present in the column.
-    double containment = 0.0;
-  };
-
-  /// Finds lake columns whose value set contains at least
-  /// `min_containment` of the distinct values of `keys` (string rendering,
-  /// case-normalized). Results sorted by descending containment.
-  std::vector<JoinCandidate> FindJoinable(
-      const std::vector<std::string>& keys, double min_containment,
-      LatencyMeter* meter = nullptr) const;
-
-  /// A joinable numeric column ranked by association with a target.
-  struct AugmentationCandidate {
+  /// One numeric lake column joined onto the input keys.
+  struct JoinedColumn {
     std::size_t table_index = 0;
     std::string key_column;
     std::string value_column;
+    /// Fraction of the distinct input keys present in the key column.
     double containment = 0.0;
-    /// |Pearson correlation| with the target after the join.
-    double abs_correlation = 0.0;
+    /// Row-aligned with the input keys: values[i] is the mean of the
+    /// column over the lake rows whose key matches keys[i] (duplicates and
+    /// 1:N tables average), NaN when none does.
+    std::vector<double> values;
   };
 
-  /// COCOA-style search: for every joinable table, joins it (aggregating
-  /// duplicates by mean) against (keys, target) and ranks each numeric
-  /// column by absolute correlation with `target`. Candidates under
-  /// `min_containment` are skipped. Sorted by descending |correlation|.
-  Result<std::vector<AugmentationCandidate>> FindCorrelatedColumns(
-      const std::vector<std::string>& keys, DoubleSpan target,
-      double min_containment, LatencyMeter* meter = nullptr) const;
+  /// The lake join behind COCOA-style augmentation, done once per
+  /// extraction. A string column is joinable when its values contain at
+  /// least `min_containment` of the distinct input keys (JOSIE-style
+  /// containment). Keys compare after NormalizeEntityName on both sides;
+  /// a null or blank key (one that normalizes to "") matches nothing and
+  /// does not count toward containment. Returns, for every joinable key
+  /// column by descending containment (lake order on ties), every numeric
+  /// column of its table aligned to `keys`, in column order. The input keys
+  /// are normalized once and each string column once; ranking the result
+  /// against a target is the caller's job. Charges one scan per table to
+  /// `meter` (none when no input key is usable).
+  std::vector<JoinedColumn> JoinNumericColumns(
+      const std::vector<std::string>& keys, double min_containment,
+      LatencyMeter* meter = nullptr) const;
 
  private:
   std::vector<table::Table> tables_;

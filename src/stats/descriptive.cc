@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
+#include <utility>
 
 namespace cdi::stats {
 
@@ -71,14 +71,18 @@ double Median(DoubleSpan x) { return Quantile(x, 0.5); }
 
 double Quantile(DoubleSpan x, double q) {
   auto v = ValidValues(x);
-  if (v.empty()) return kNaN;
-  q = std::clamp(q, 0.0, 1.0);
   std::sort(v.begin(), v.end());
-  const double pos = q * static_cast<double>(v.size() - 1);
+  return QuantileOfSorted(v, q);
+}
+
+double QuantileOfSorted(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) return kNaN;
+  q = std::clamp(q, 0.0, 1.0);
+  const double pos = q * static_cast<double>(sorted.size() - 1);
   const std::size_t lo = static_cast<std::size_t>(std::floor(pos));
   const std::size_t hi = static_cast<std::size_t>(std::ceil(pos));
   const double frac = pos - static_cast<double>(lo);
-  return v[lo] * (1.0 - frac) + v[hi] * frac;
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
 double Skewness(DoubleSpan x) {
@@ -148,24 +152,48 @@ double PearsonCorrelation(DoubleSpan x,
   return std::clamp(cov / std::sqrt(vx * vy), -1.0, 1.0);
 }
 
+std::vector<std::size_t> ValueOrder(DoubleSpan x) {
+  // Sorting (value, row) pairs keeps the comparisons on contiguous memory.
+  std::vector<std::pair<double, std::size_t>> keyed;
+  keyed.reserve(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (!std::isnan(x[i])) keyed.emplace_back(x[i], i);
+  }
+  std::sort(keyed.begin(), keyed.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<std::size_t> order;
+  order.reserve(keyed.size());
+  for (const auto& [v, i] : keyed) order.push_back(i);
+  return order;
+}
+
 namespace {
 
-std::vector<double> AverageRanks(const std::vector<double>& v) {
-  const std::size_t n = v.size();
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t a, std::size_t b) { return v[a] < v[b]; });
-  std::vector<double> ranks(n);
-  std::size_t i = 0;
-  while (i < n) {
-    std::size_t j = i;
-    while (j + 1 < n && v[order[j + 1]] == v[order[i]]) ++j;
-    const double avg = 0.5 * (static_cast<double>(i) + static_cast<double>(j)) + 1.0;
-    for (std::size_t k = i; k <= j; ++k) ranks[order[k]] = avg;
-    i = j + 1;
+/// Writes the 1-based average rank of every row of `order` that `other`
+/// also observes into `ranks` (indexed by row). Equal values are adjacent
+/// in `order`, so each run of them, filtered, is one tie group.
+void AverageRanksAlong(DoubleSpan x, const std::vector<std::size_t>& order,
+                       DoubleSpan other, std::vector<double>* ranks) {
+  std::size_t i = 0;  // kept rows ranked so far
+  std::size_t g = 0;
+  while (g < order.size()) {
+    std::size_t h = g;
+    std::size_t kept = 0;
+    while (h < order.size() && x[order[h]] == x[order[g]]) {
+      if (!std::isnan(other[order[h]])) ++kept;
+      ++h;
+    }
+    if (kept > 0) {
+      const std::size_t j = i + kept - 1;
+      const double avg =
+          0.5 * (static_cast<double>(i) + static_cast<double>(j)) + 1.0;
+      for (std::size_t k = g; k < h; ++k) {
+        if (!std::isnan(other[order[k]])) (*ranks)[order[k]] = avg;
+      }
+      i += kept;
+    }
+    g = h;
   }
-  return ranks;
 }
 
 }  // namespace
@@ -173,14 +201,20 @@ std::vector<double> AverageRanks(const std::vector<double>& v) {
 double SpearmanCorrelation(DoubleSpan x,
                            DoubleSpan y) {
   if (x.size() != y.size()) return kNaN;
-  std::vector<double> xv, yv;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    if (std::isnan(x[i]) || std::isnan(y[i])) continue;
-    xv.push_back(x[i]);
-    yv.push_back(y[i]);
-  }
-  if (xv.size() < 2) return kNaN;
-  return PearsonCorrelation(AverageRanks(xv), AverageRanks(yv));
+  return SpearmanCorrelation(x, ValueOrder(x), y, ValueOrder(y));
+}
+
+double SpearmanCorrelation(DoubleSpan x,
+                           const std::vector<std::size_t>& x_order,
+                           DoubleSpan y,
+                           const std::vector<std::size_t>& y_order) {
+  if (x.size() != y.size()) return kNaN;
+  // Rows either column misses keep NaN ranks in both, so Pearson skips
+  // them and sums the complete rows in row order.
+  std::vector<double> rx(x.size(), kNaN), ry(y.size(), kNaN);
+  AverageRanksAlong(x, x_order, y, &rx);
+  AverageRanksAlong(y, y_order, x, &ry);
+  return PearsonCorrelation(rx, ry);
 }
 
 std::vector<double> Standardize(DoubleSpan x) {

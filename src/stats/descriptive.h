@@ -29,6 +29,9 @@ double Median(DoubleSpan x);
 /// Linear-interpolated quantile, q in [0, 1].
 double Quantile(DoubleSpan x, double q);
 
+/// Quantile() over values already NaN-free and sorted ascending.
+double QuantileOfSorted(const std::vector<double>& sorted, double q);
+
 /// Sample skewness (Fisher-Pearson, bias-unadjusted).
 double Skewness(DoubleSpan x);
 
@@ -46,10 +49,25 @@ std::size_t ValidCount(DoubleSpan x);
 double PearsonCorrelation(DoubleSpan x,
                           DoubleSpan y);
 
-/// Spearman rank correlation over pairwise-complete entries
-/// (average ranks for ties).
+/// Row indices of x's non-NaN entries, sorted by value. Equal values come
+/// in no particular order: average ranks and quantiles depend only on the
+/// values. Sort a column once and reuse its order across every pairwise
+/// rank statistic below.
+std::vector<std::size_t> ValueOrder(DoubleSpan x);
+
+/// Spearman rank correlation over pairwise-complete entries (average ranks
+/// for ties).
 double SpearmanCorrelation(DoubleSpan x,
                            DoubleSpan y);
+
+/// The same statistic from precomputed orders (`x_order` = ValueOrder(x),
+/// `y_order` = ValueOrder(y)): each order is walked once, keeping the rows
+/// the other column also observes, so a pair costs O(n) instead of two
+/// sorts. Bitwise-equal to the pairwise overload.
+double SpearmanCorrelation(DoubleSpan x,
+                           const std::vector<std::size_t>& x_order,
+                           DoubleSpan y,
+                           const std::vector<std::size_t>& y_order);
 
 /// (x - mean) / stddev; NaN entries stay NaN. A constant vector maps to all
 /// zeros.

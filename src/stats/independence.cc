@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <unordered_map>
 
 #include "stats/descriptive.h"
 #include "stats/distributions.h"
@@ -99,61 +98,6 @@ Result<IndependenceResult> ChiSquareIndependence(const std::vector<int>& x,
   return r;
 }
 
-Result<IndependenceResult> ConditionalChiSquare(
-    const std::vector<int>& x, const std::vector<int>& y,
-    const std::vector<std::vector<int>>& z, std::size_t min_stratum) {
-  if (z.empty()) return ChiSquareIndependence(x, y);
-  if (x.size() != y.size()) return Status::InvalidArgument("size mismatch");
-  for (const auto& zc : z) {
-    if (zc.size() != x.size()) {
-      return Status::InvalidArgument("conditioning size mismatch");
-    }
-  }
-  // Stratify by the joint code of z.
-  std::unordered_map<std::string, std::vector<std::size_t>> strata;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    if (x[i] < 0 || y[i] < 0) continue;
-    bool missing = false;
-    std::string key;
-    for (const auto& zc : z) {
-      if (zc[i] < 0) {
-        missing = true;
-        break;
-      }
-      key += std::to_string(zc[i]) + ",";
-    }
-    if (!missing) strata[key].push_back(i);
-  }
-  double total_stat = 0, total_dof = 0;
-  double strength_num = 0, strength_den = 0;
-  for (const auto& [key, rows] : strata) {
-    if (rows.size() < min_stratum) continue;
-    std::vector<int> xs, ys;
-    for (std::size_t i : rows) {
-      xs.push_back(x[i]);
-      ys.push_back(y[i]);
-    }
-    int kx = 0, ky = 0;
-    xs = Densify(xs, &kx);
-    ys = Densify(ys, &ky);
-    if (kx < 2 || ky < 2) continue;
-    std::vector<std::vector<double>> counts(kx,
-                                            std::vector<double>(ky, 0.0));
-    for (std::size_t i = 0; i < xs.size(); ++i) counts[xs[i]][ys[i]] += 1.0;
-    double stat = 0, dof = 0, v = 0;
-    TableChiSquare(counts, &stat, &dof, &v);
-    total_stat += stat;
-    total_dof += dof;
-    strength_num += v * static_cast<double>(rows.size());
-    strength_den += static_cast<double>(rows.size());
-  }
-  IndependenceResult r;
-  r.statistic = total_stat;
-  r.p_value = total_dof > 0 ? ChiSquareSf(total_stat, total_dof) : 1.0;
-  r.strength = strength_den > 0 ? strength_num / strength_den : 0.0;
-  return r;
-}
-
 double DiscreteMutualInformation(const std::vector<int>& x,
                                  const std::vector<int>& y) {
   std::map<std::pair<int, int>, double> joint;
@@ -178,9 +122,18 @@ double DiscreteMutualInformation(const std::vector<int>& x,
 }
 
 std::vector<int> QuantileBin(DoubleSpan x, int bins) {
+  return QuantileBin(x, ValueOrder(x), bins);
+}
+
+std::vector<int> QuantileBin(DoubleSpan x,
+                             const std::vector<std::size_t>& order,
+                             int bins) {
+  std::vector<double> sorted;
+  sorted.reserve(order.size());
+  for (std::size_t row : order) sorted.push_back(x[row]);
   std::vector<double> edges;
   for (int b = 1; b < bins; ++b) {
-    edges.push_back(Quantile(x, static_cast<double>(b) / bins));
+    edges.push_back(QuantileOfSorted(sorted, static_cast<double>(b) / bins));
   }
   std::vector<int> out(x.size(), -1);
   for (std::size_t i = 0; i < x.size(); ++i) {

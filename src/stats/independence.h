@@ -1,6 +1,7 @@
 #ifndef CDI_STATS_INDEPENDENCE_H_
 #define CDI_STATS_INDEPENDENCE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -22,21 +23,21 @@ struct IndependenceResult {
 Result<IndependenceResult> ChiSquareIndependence(
     const std::vector<int>& x, const std::vector<int>& y);
 
-/// Conditional chi-square test of X ⟂ Y | Z: statistic and degrees of
-/// freedom sum over the strata of the (joint) conditioning codes. Strata
-/// with fewer than `min_stratum` rows are skipped.
-Result<IndependenceResult> ConditionalChiSquare(
-    const std::vector<int>& x, const std::vector<int>& y,
-    const std::vector<std::vector<int>>& z, std::size_t min_stratum = 5);
-
 /// Plug-in discrete mutual information I(X; Y) in nats (missing codes
 /// skipped pairwise).
 double DiscreteMutualInformation(const std::vector<int>& x,
                                  const std::vector<int>& y);
 
-/// Quantile-bins a numeric vector into `bins` integer codes (NaN -> -1).
+/// Quantile-bins a numeric vector into `bins` integer codes (NaN -> -1):
+/// a value's code is the number of Quantile() edges at b/bins it exceeds.
 /// Used to compute mutual information of continuous attributes.
 std::vector<int> QuantileBin(DoubleSpan x, int bins);
+
+/// The same codes from a precomputed `order` = ValueOrder(x), for callers
+/// that already sorted the column.
+std::vector<int> QuantileBin(DoubleSpan x,
+                             const std::vector<std::size_t>& order,
+                             int bins);
 
 }  // namespace cdi::stats
 

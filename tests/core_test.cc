@@ -588,6 +588,48 @@ TEST(KnowledgeExtractorTest, LakeColumnsJoinedAndAligned) {
   EXPECT_NEAR(stats::PearsonCorrelation(extracted, lake_attr), 1.0, 0.01);
 }
 
+TEST(KnowledgeExtractorTest, OneExtractChargesOneScanPerLakeTable) {
+  // The outcome and exposure rankings share one lake join, so a k-table
+  // lake costs exactly k data_lake calls whether or not tables join.
+  Rng rng(39);
+  const std::size_t n = 120;
+  std::vector<double> tv(n), ov(n);
+  std::vector<std::string> entity(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    entity[i] = "Site " + std::to_string(i);
+    tv[i] = rng.Normal();
+    ov[i] = 0.6 * tv[i] + rng.Normal();
+  }
+  knowledge::DataLake lake;
+  for (int k = 0; k < 3; ++k) {
+    std::vector<double> vals(n);
+    for (std::size_t i = 0; i < n; ++i) vals[i] = tv[i] + rng.Normal();
+    table::Table lt("lake_" + std::to_string(k));
+    // Table 2 is keyed by something else entirely and never joins.
+    std::vector<std::string> keys = entity;
+    if (k == 2) {
+      for (auto& key : keys) key = "other " + key;
+    }
+    CDI_CHECK(lt.AddColumn(table::Column::FromStrings("site", keys)).ok());
+    CDI_CHECK(lt.AddColumn(table::Column::FromDoubles(
+                               "attr_" + std::to_string(k), vals))
+                  .ok());
+    lake.AddTable(std::move(lt));
+  }
+  table::Table input("in");
+  CDI_CHECK(
+      input.AddColumn(table::Column::FromStrings("entity", entity)).ok());
+  CDI_CHECK(input.AddColumn(table::Column::FromDoubles("t", tv)).ok());
+  CDI_CHECK(input.AddColumn(table::Column::FromDoubles("o", ov)).ok());
+
+  KnowledgeExtractor extractor(nullptr, &lake);
+  LatencyMeter meter;
+  auto result = extractor.Extract(input, "entity", "t", "o", &meter);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(meter.Calls(knowledge::DataLake::kServiceName), 3);
+  EXPECT_EQ(result->lake_columns_found, 2u);
+}
+
 TEST(KnowledgeExtractorTest, MaxAttributesBudget) {
   Rng rng(41);
   const std::size_t n = 300;

