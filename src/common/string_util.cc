@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 namespace cdi {
 
@@ -150,6 +153,41 @@ std::string FormatDouble(double v, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, v);
   return std::string(buf);
+}
+
+Result<std::uint64_t> ParseUnsigned(std::string_view field,
+                                    std::string_view value,
+                                    std::uint64_t max) {
+  std::uint64_t v = 0;
+  const char* last = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), last, v);
+  const std::string prefix =
+      "bad " + std::string(field) + " value '" + std::string(value) + "'";
+  if (ec == std::errc::result_out_of_range) {
+    return Status::InvalidArgument(prefix + " (out of range)");
+  }
+  if (ec != std::errc() || ptr != last) {
+    return Status::InvalidArgument(prefix +
+                                   " (expected a non-negative integer)");
+  }
+  if (v > max) {
+    return Status::InvalidArgument(prefix + " (at most " +
+                                   std::to_string(max) + ")");
+  }
+  return v;
+}
+
+Result<double> ParseFiniteDouble(std::string_view field,
+                                 std::string_view value) {
+  const std::string text(value);
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (text.empty() || end != text.c_str() + text.size() ||
+      !std::isfinite(v)) {
+    return Status::InvalidArgument("bad " + std::string(field) + " value '" +
+                                   text + "' (expected a finite number)");
+  }
+  return v;
 }
 
 }  // namespace cdi

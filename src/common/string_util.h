@@ -1,9 +1,14 @@
 #ifndef CDI_COMMON_STRING_UTIL_H_
 #define CDI_COMMON_STRING_UTIL_H_
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
+
+#include "common/status.h"
 
 namespace cdi {
 
@@ -41,6 +46,39 @@ double JaroWinkler(std::string_view a, std::string_view b);
 /// Formats a double with `precision` significant decimal digits after the
 /// point (fixed notation), e.g. FormatDouble(0.456789, 2) == "0.46".
 std::string FormatDouble(double v, int precision);
+
+/// Strict unsigned decimal for the value of the named `field` (a protocol
+/// argument or command-line flag): digits only — no sign, blank, fraction
+/// or exponent — and at most `max`, with no wraparound. InvalidArgument
+/// names the field and the offending value.
+Result<std::uint64_t> ParseUnsigned(
+    std::string_view field, std::string_view value,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
+
+/// Strict finite number (strtod syntax) for the value of `field`: the
+/// whole value must parse, and nan/inf are rejected.
+Result<double> ParseFiniteDouble(std::string_view field,
+                                 std::string_view value);
+
+/// Flag parsing: `value` into *out — ParseUnsigned bounded by `max` and
+/// by T's range for integer T, ParseFiniteDouble for double. *out is
+/// untouched on error.
+template <typename T>
+Status ParseNumber(
+    std::string_view field, std::string_view value, T* out,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  if constexpr (std::is_floating_point_v<T>) {
+    CDI_ASSIGN_OR_RETURN(*out, ParseFiniteDouble(field, value));
+  } else {
+    const auto type_max =
+        static_cast<std::uint64_t>(std::numeric_limits<T>::max());
+    CDI_ASSIGN_OR_RETURN(
+        const std::uint64_t v,
+        ParseUnsigned(field, value, max < type_max ? max : type_max));
+    *out = static_cast<T>(v);
+  }
+  return Status::OK();
+}
 
 }  // namespace cdi
 

@@ -103,8 +103,11 @@ void ParallelFor(ThreadPool* pool, std::size_t n,
            i < n; i = next.fetch_add(1, std::memory_order_relaxed)) {
         fn(i);
       }
+      // Decrement under `mu`: the caller may return (destroying `mu` and
+      // `done`) as soon as it sees live == 0, so the last worker must be
+      // done with both before the caller can observe it.
+      std::lock_guard<std::mutex> lock(mu);
       if (live.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::unique_lock<std::mutex> lock(mu);
         done.notify_all();
       }
     });
@@ -141,8 +144,9 @@ void ParallelForRanges(
         const std::size_t begin = c * chunk;
         fn(begin, std::min(begin + chunk, n));
       }
+      // Decrement under `mu`, as in ParallelFor.
+      std::lock_guard<std::mutex> lock(mu);
       if (live.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::unique_lock<std::mutex> lock(mu);
         done.notify_all();
       }
     });

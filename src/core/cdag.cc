@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "graph/adjustment.h"
+
 namespace cdi::core {
 
 Result<ClusterDag> ClusterDag::Create(
@@ -60,6 +62,18 @@ Result<std::string> ClusterDag::ClusterOf(const std::string& attribute) const {
   return it->second;
 }
 
+std::vector<std::string> ClusterDag::MemberAttributes(
+    const std::set<std::string>& clusters) const {
+  std::vector<std::string> out;
+  for (const auto& c : clusters) {
+    auto it = members_.find(c);
+    if (it == members_.end()) continue;
+    out.insert(out.end(), it->second.begin(), it->second.end());
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
 std::set<std::string> ClusterDag::MediatorClusters() const {
   auto r = MediatorClustersBetween(exposure_cluster_, outcome_cluster_);
   return r.ok() ? *r : std::set<std::string>{};
@@ -70,92 +84,44 @@ std::set<std::string> ClusterDag::ConfounderClusters() const {
   return r.ok() ? *r : std::set<std::string>{};
 }
 
+std::vector<std::string> ClusterDag::DirectEffectAdjustmentAttributes() const {
+  auto r = DirectEffectAdjustmentFor(exposure_cluster_, outcome_cluster_);
+  return r.ok() ? *r : std::vector<std::string>{};
+}
+
+std::vector<std::string> ClusterDag::TotalEffectAdjustmentAttributes() const {
+  auto r = TotalEffectAdjustmentFor(exposure_cluster_, outcome_cluster_);
+  return r.ok() ? *r : std::vector<std::string>{};
+}
+
 Result<std::set<std::string>> ClusterDag::MediatorClustersBetween(
     const std::string& from, const std::string& to) const {
   CDI_ASSIGN_OR_RETURN(graph::NodeId t, graph_.NodeIdOf(from));
   CDI_ASSIGN_OR_RETURN(graph::NodeId o, graph_.NodeIdOf(to));
-  if (t == o) return Status::InvalidArgument("from == to");
-  std::set<std::string> out;
-  for (graph::NodeId v : graph_.NodesOnDirectedPaths(t, o)) {
-    out.insert(graph_.NodeName(v));
-  }
-  return out;
+  CDI_ASSIGN_OR_RETURN(auto ids, graph::Mediators(graph_, t, o));
+  return graph_.NamesOf(ids);
 }
 
 Result<std::set<std::string>> ClusterDag::ConfounderClustersBetween(
     const std::string& from, const std::string& to) const {
   CDI_ASSIGN_OR_RETURN(graph::NodeId t, graph_.NodeIdOf(from));
   CDI_ASSIGN_OR_RETURN(graph::NodeId o, graph_.NodeIdOf(to));
-  if (t == o) return Status::InvalidArgument("from == to");
-  std::set<std::string> out;
-  const auto anc_t = graph_.Ancestors(t);
-  const auto anc_o = graph_.Ancestors(o);
-  for (graph::NodeId v : anc_t) {
-    if (v != t && v != o && anc_o.count(v) > 0) {
-      out.insert(graph_.NodeName(v));
-    }
-  }
-  return out;
+  CDI_ASSIGN_OR_RETURN(auto ids, graph::Confounders(graph_, t, o));
+  return graph_.NamesOf(ids);
 }
 
 Result<std::vector<std::string>> ClusterDag::TotalEffectAdjustmentFor(
     const std::string& from, const std::string& to) const {
-  CDI_ASSIGN_OR_RETURN(std::set<std::string> clusters,
-                       ConfounderClustersBetween(from, to));
-  std::vector<std::string> out;
-  for (const auto& c : clusters) {
-    auto it = members_.find(c);
-    if (it == members_.end()) continue;
-    for (const auto& a : it->second) out.push_back(a);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+  CDI_ASSIGN_OR_RETURN(auto clusters, ConfounderClustersBetween(from, to));
+  return MemberAttributes(clusters);
 }
 
 Result<std::vector<std::string>> ClusterDag::DirectEffectAdjustmentFor(
     const std::string& from, const std::string& to) const {
-  CDI_ASSIGN_OR_RETURN(std::set<std::string> clusters,
-                       MediatorClustersBetween(from, to));
-  CDI_ASSIGN_OR_RETURN(std::set<std::string> conf,
-                       ConfounderClustersBetween(from, to));
+  CDI_ASSIGN_OR_RETURN(auto clusters, MediatorClustersBetween(from, to));
+  CDI_ASSIGN_OR_RETURN(auto conf, ConfounderClustersBetween(from, to));
   clusters.insert(conf.begin(), conf.end());
-  clusters.erase(from);
-  clusters.erase(to);
-  std::vector<std::string> out;
-  for (const auto& c : clusters) {
-    auto it = members_.find(c);
-    if (it == members_.end()) continue;
-    for (const auto& a : it->second) out.push_back(a);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<std::string> ClusterDag::DirectEffectAdjustmentAttributes() const {
-  std::set<std::string> clusters = MediatorClusters();
-  const auto conf = ConfounderClusters();
-  clusters.insert(conf.begin(), conf.end());
-  clusters.erase(exposure_cluster_);
-  clusters.erase(outcome_cluster_);
-  std::vector<std::string> out;
-  for (const auto& c : clusters) {
-    auto it = members_.find(c);
-    if (it == members_.end()) continue;
-    for (const auto& a : it->second) out.push_back(a);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<std::string> ClusterDag::TotalEffectAdjustmentAttributes() const {
-  std::vector<std::string> out;
-  for (const auto& c : ConfounderClusters()) {
-    auto it = members_.find(c);
-    if (it == members_.end()) continue;
-    for (const auto& a : it->second) out.push_back(a);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+  return MemberAttributes(clusters);
 }
 
 }  // namespace cdi::core

@@ -52,26 +52,25 @@ class ClusterDag {
   std::size_t num_clusters() const { return graph_.num_nodes(); }
   std::size_t num_edges() const { return graph_.num_edges(); }
 
+  /// The exposure -> outcome forms of the *Between / *AdjustmentFor
+  /// queries below (empty on error, e.g. a default-constructed C-DAG).
   /// Mediator clusters: on a directed path exposure -> ... -> outcome.
-  /// Works on cyclic claim graphs too (pure reachability).
   std::set<std::string> MediatorClusters() const;
-
-  /// Confounder clusters: ancestors of both exposure and outcome.
+  /// Confounder clusters: common ancestors of exposure and outcome.
   std::set<std::string> ConfounderClusters() const;
-
   /// Attributes of all mediator clusters plus all confounder clusters —
   /// the adjustment set CATER hands to the direct-effect estimator.
   std::vector<std::string> DirectEffectAdjustmentAttributes() const;
-
   /// Attributes of a valid backdoor set for the *total* effect (confounder
   /// clusters).
   std::vector<std::string> TotalEffectAdjustmentAttributes() const;
 
   /// Multi-query support (one of §3.3's open questions: "whether a single
   /// C-DAG is sufficient to identify the adjustment sets for multiple
-  /// cause-effect estimations"): the same identification primitives
+  /// cause-effect estimations"): graph::Mediators / graph::Confounders
   /// between *any* ordered pair of clusters, not just the exposure and
-  /// outcome the C-DAG was built for.
+  /// outcome the C-DAG was built for. Pure reachability, so they work on
+  /// cyclic claim graphs too.
   Result<std::set<std::string>> MediatorClustersBetween(
       const std::string& from, const std::string& to) const;
   Result<std::set<std::string>> ConfounderClustersBetween(
@@ -86,6 +85,10 @@ class ClusterDag {
       const std::string& from, const std::string& to) const;
 
  private:
+  /// Member attributes of `clusters`, sorted.
+  std::vector<std::string> MemberAttributes(
+      const std::set<std::string>& clusters) const;
+
   graph::Digraph graph_;
   std::map<std::string, std::vector<std::string>> members_;
   std::map<std::string, std::string> attr_to_cluster_;

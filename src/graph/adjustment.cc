@@ -142,15 +142,4 @@ Result<std::set<NodeId>> FrontDoorSet(const Digraph& g, NodeId t, NodeId o) {
   return med;
 }
 
-Result<std::set<NodeId>> DirectEffectAdjustmentSet(const Digraph& g, NodeId t,
-                                                   NodeId o) {
-  CDI_ASSIGN_OR_RETURN(std::set<NodeId> med, Mediators(g, t, o));
-  CDI_ASSIGN_OR_RETURN(std::set<NodeId> conf, Confounders(g, t, o));
-  std::set<NodeId> out = med;
-  out.insert(conf.begin(), conf.end());
-  out.erase(t);
-  out.erase(o);
-  return out;
-}
-
 }  // namespace cdi::graph

@@ -10,13 +10,21 @@ namespace cdi::graph {
 
 /// Graphical identification helpers for causal queries about exposure `t`
 /// and outcome `o` in a causal DAG (Pearl's criteria).
+///
+/// Mediators and Confounders are the one identification primitive every
+/// C-DAG reader uses (ClusterDag, SummaryDag): the paper's §3.3 rule reads
+/// a direct-effect adjustment set as mediators plus confounders of the
+/// exposure and outcome. Both are pure reachability, so they also answer
+/// on graphs that still hold cycles. InvalidArgument when t or o is not a
+/// node or t == o.
 
-/// Mediators: nodes on at least one directed path t -> ... -> o.
+/// Mediators: nodes strictly between t and o on at least one directed
+/// path t -> ... -> o.
 Result<std::set<NodeId>> Mediators(const Digraph& g, NodeId t, NodeId o);
 
-/// Confounders (heuristic characterization used throughout CDI): nodes that
-/// are ancestors of both t and o via paths not through t. These are the
-/// classical "common causes".
+/// Confounders (heuristic characterization used throughout CDI): common
+/// ancestors of t and o, other than t and o themselves — the classical
+/// "common causes".
 Result<std::set<NodeId>> Confounders(const Digraph& g, NodeId t, NodeId o);
 
 /// True iff `z` satisfies Pearl's backdoor criterion relative to (t, o):
@@ -47,12 +55,6 @@ Result<bool> IsValidFrontDoorSet(const Digraph& g, NodeId t, NodeId o,
 /// The canonical front-door candidate: all mediators of t -> o. Returns
 /// the set when it satisfies the criterion, NotFound otherwise.
 Result<std::set<NodeId>> FrontDoorSet(const Digraph& g, NodeId t, NodeId o);
-
-/// The adjustment set for the *controlled direct effect* of t on o:
-/// mediators (to block indirect paths) plus a valid backdoor set.
-/// This is the set CATER hands to the effect estimator.
-Result<std::set<NodeId>> DirectEffectAdjustmentSet(const Digraph& g, NodeId t,
-                                                   NodeId o);
 
 }  // namespace cdi::graph
 

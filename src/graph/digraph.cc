@@ -39,6 +39,12 @@ const std::string& Digraph::NodeName(NodeId id) const {
   return names_[id];
 }
 
+std::set<std::string> Digraph::NamesOf(const std::set<NodeId>& ids) const {
+  std::set<std::string> out;
+  for (NodeId id : ids) out.insert(NodeName(id));
+  return out;
+}
+
 Status Digraph::AddEdge(NodeId from, NodeId to) {
   if (from >= names_.size() || to >= names_.size()) {
     return Status::OutOfRange("node id out of range");

@@ -39,6 +39,9 @@ class Digraph {
 
   const std::string& NodeName(NodeId id) const;
 
+  /// Names of `ids`, as a sorted set.
+  std::set<std::string> NamesOf(const std::set<NodeId>& ids) const;
+
   std::size_t num_nodes() const { return names_.size(); }
   std::size_t num_edges() const { return num_edges_; }
 

@@ -1,6 +1,5 @@
 #include "serve/line_protocol.h"
 
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -229,25 +228,6 @@ std::string SanitizeMessage(std::string msg) {
     if (c == '"') c = '\'';
   }
   return msg;
-}
-
-/// Strict unsigned decimal for a `<field>=<value>` argument: digits only
-/// (no sign, blank, fraction or exponent) and no wraparound on overflow.
-Result<std::uint64_t> ParseUnsigned(const char* field,
-                                    const std::string& value) {
-  std::uint64_t v = 0;
-  const char* last = value.data() + value.size();
-  const auto [ptr, ec] = std::from_chars(value.data(), last, v);
-  if (ec == std::errc::result_out_of_range) {
-    return Status::InvalidArgument("bad " + std::string(field) + " value '" +
-                                   value + "' (out of range)");
-  }
-  if (ec != std::errc() || ptr != last) {
-    return Status::InvalidArgument("bad " + std::string(field) + " value '" +
-                                   value +
-                                   "' (expected a non-negative integer)");
-  }
-  return v;
 }
 
 /// The `<seconds>` of a `timeout=<seconds>` argument. strtod happily

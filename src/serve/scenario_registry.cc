@@ -35,7 +35,8 @@ std::size_t EstimateBundleBytes(const ScenarioBundle& bundle) {
 
 ScenarioRegistry::ScenarioRegistry(RegistryOptions options)
     : options_([&options] {
-        if (options.num_shards == 0) options.num_shards = 1;
+        options.num_shards = std::clamp<std::size_t>(options.num_shards, 1,
+                                                     kMaxRegistryShards);
         return options;
       }()),
       per_shard_budget_(

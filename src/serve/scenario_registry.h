@@ -85,9 +85,13 @@ struct ScenarioBundle {
 /// epochs of a scenario and are charged with the table they ride in on.
 std::size_t EstimateBundleBytes(const ScenarioBundle& bundle);
 
+/// Most shards a registry allocates (--registry-shards rejects more).
+inline constexpr std::size_t kMaxRegistryShards = 4096;
+
 struct RegistryOptions {
-  /// Shards (>= 1); names map to shards by hash. More shards means less
-  /// mutex contention for concurrent lookups of different scenarios.
+  /// Shards, clamped to [1, kMaxRegistryShards]; names map to shards by
+  /// hash. More shards means less mutex contention for concurrent
+  /// lookups of different scenarios.
   std::size_t num_shards = 8;
   /// Total memory budget over all shards, in bytes; 0 = unlimited. Each
   /// shard enforces budget/num_shards with LRU eviction: registering or

@@ -12,9 +12,8 @@ namespace cdi::stats {
 
 const GramKernelFns* CdiGramKernelScalar() {
   static const GramKernelFns fns = {
-      &GramTileImpl,        &GramTile2Impl,  &GramCrossImpl,
-      &GramPackTileImpl,    &GramPresentBitsImpl,
-      &GramCorrRowImpl,     &GramDivRowImpl, "scalar"};
+      &GramTileImpl,        &GramTile2Impl,   &GramPackTileImpl,
+      &GramPresentBitsImpl, &GramCorrRowImpl, &GramDivRowImpl, "scalar"};
   return &fns;
 }
 

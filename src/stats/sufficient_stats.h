@@ -42,14 +42,8 @@ class FactorCache;
 /// combined with bitwise AND, replacing the branchy per-row
 /// isnan-over-all-columns prescan.
 ///
-/// AppendColumns extends the statistics with `k` new columns in
-/// O(n * k * (p + k)) when the new columns do not shrink the
-/// complete-row set (the common case: the knowledge extractor joins
-/// fully-aligned attributes); the result is bitwise identical to a full
-/// recompute, because per-entry accumulation order does not depend on
-/// which other entries are computed. When a new column introduces NaNs in
-/// previously-complete rows, every entry's row set changes and the
-/// statistics are recomputed in full (still through the blocked kernel).
+/// AppendRows extends the statistics with a streaming row batch (the
+/// serving layer's `update` path) and lands bitwise on a full recompute.
 class SufficientStats {
  public:
   SufficientStats() = default;
@@ -92,14 +86,6 @@ class SufficientStats {
   /// correlate 0 with everything (1 on the diagonal).
   Matrix Correlation() const;
 
-  /// Extends the statistics with `cols` (each of num_rows() rows).
-  /// Incremental — O(n * k * (p + k)) — when the new columns leave the
-  /// complete-row set unchanged, full recompute otherwise; either way the
-  /// result is bitwise identical to Compute() over all p + k columns.
-  /// On error the object is unchanged.
-  Status AppendColumns(const std::vector<DoubleSpan>& cols,
-                       ThreadPool* pool = nullptr);
-
   /// Extends the statistics with `new_rows` rows appended to every
   /// column. `cols` are full-length spans over the *concatenated*
   /// columns (old rows first, then the new ones); the old prefix must
@@ -110,9 +96,9 @@ class SufficientStats {
   /// `weights` must likewise be the full concatenated weight vector;
   /// pass empty for unweighted statistics.
   ///
-  /// Contract, mirroring AppendColumns: the result is bitwise identical
-  /// to Compute() over the concatenated dataset, at any thread count. A
-  /// true rank-k update of the *centered* Gram cannot meet that bar —
+  /// Contract: the result is bitwise identical to Compute() over the
+  /// concatenated dataset, at any thread count. A true rank-k update of
+  /// the *centered* Gram cannot meet that bar —
   /// appended rows shift every column mean, which changes every entry's
   /// floating-point accumulation sequence — so the per-column
   /// accumulators (complete-row mask, weight sum, pre-division column
@@ -126,9 +112,8 @@ class SufficientStats {
                     const std::vector<double>& weights = {},
                     ThreadPool* pool = nullptr);
 
-  /// Whether the last AppendColumns/AppendRows took the incremental path
-  /// (for AppendRows: the Gram sweep was skipped — no new complete rows).
-  /// Benchmark/test introspection.
+  /// Whether the last AppendRows skipped the Gram sweep (no new complete
+  /// rows). Test introspection.
   bool last_append_incremental() const { return last_append_incremental_; }
 
   /// Gaussian BIC of regressing `target` on `parents`, computed from S by
@@ -149,13 +134,6 @@ class SufficientStats {
   Result<double> GaussianBicLocal(std::size_t target,
                                   const std::vector<std::size_t>& parents,
                                   FactorCache* fcache) const;
-
-  /// OLS coefficients (intercept first, then one slope per entry of `xs`,
-  /// in order) of column `y` on columns `xs`, solved from the normal
-  /// equations in centered form: slopes from S[xs, xs] beta = S[xs, y]
-  /// (tiny ridge, as LeastSquares), intercept from the means.
-  Result<std::vector<double>> OlsCoefficients(
-      std::size_t y, const std::vector<std::size_t>& xs) const;
 
  private:
   std::vector<DoubleSpan> columns_;

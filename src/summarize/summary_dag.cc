@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "common/hash.h"
+#include "graph/adjustment.h"
 #include "graph/dot.h"
 
 namespace cdi::summarize {
@@ -56,6 +57,31 @@ void AppendJsonStringArray(const std::vector<std::string>& values,
   out->push_back(']');
 }
 
+/// `query` (graph::Mediators or graph::Confounders) between the nodes
+/// named `t` and `o`; empty when either is missing.
+std::set<graph::NodeId> EndpointQuery(
+    const graph::Digraph& g, const std::string& t, const std::string& o,
+    Result<std::set<graph::NodeId>> (*query)(const graph::Digraph&,
+                                             graph::NodeId, graph::NodeId)) {
+  auto t_id = g.NodeIdOf(t);
+  auto o_id = g.NodeIdOf(o);
+  if (!t_id.ok() || !o_id.ok()) return {};
+  auto ids = query(g, *t_id, *o_id);
+  return ids.ok() ? *std::move(ids) : std::set<graph::NodeId>{};
+}
+
+/// Sorted union of `field` over the super-nodes `ids`.
+std::vector<std::string> UnionOf(const std::vector<SummaryNode>& nodes,
+                                 const std::set<graph::NodeId>& ids,
+                                 std::vector<std::string> SummaryNode::*field) {
+  std::set<std::string> out;
+  for (graph::NodeId id : ids) {
+    const std::vector<std::string>& values = nodes[id].*field;
+    out.insert(values.begin(), values.end());
+  }
+  return std::vector<std::string>(out.begin(), out.end());
+}
+
 }  // namespace
 
 Result<std::string> SummaryDag::NodeOf(
@@ -69,53 +95,27 @@ Result<std::string> SummaryDag::NodeOf(
 }
 
 std::set<std::string> SummaryDag::ConfounderNodes() const {
-  std::set<std::string> out;
-  auto t = graph_.NodeIdOf(exposure_node_);
-  auto o = graph_.NodeIdOf(outcome_node_);
-  if (!t.ok() || !o.ok()) return out;
-  const std::set<graph::NodeId> anc_t = graph_.Ancestors(*t);
-  const std::set<graph::NodeId> anc_o = graph_.Ancestors(*o);
-  for (graph::NodeId id : anc_t) {
-    if (anc_o.count(id) > 0 && id != *t && id != *o) {
-      out.insert(graph_.NodeName(id));
-    }
-  }
-  return out;
+  return graph_.NamesOf(EndpointQuery(graph_, exposure_node_, outcome_node_,
+                                       &graph::Confounders));
 }
 
 std::set<std::string> SummaryDag::MediatorNodes() const {
-  std::set<std::string> out;
-  auto t = graph_.NodeIdOf(exposure_node_);
-  auto o = graph_.NodeIdOf(outcome_node_);
-  if (!t.ok() || !o.ok()) return out;
-  for (graph::NodeId id : graph_.NodesOnDirectedPaths(*t, *o)) {
-    out.insert(graph_.NodeName(id));
-  }
-  return out;
+  return graph_.NamesOf(EndpointQuery(graph_, exposure_node_, outcome_node_,
+                                       &graph::Mediators));
 }
 
 std::vector<std::string> SummaryDag::TotalEffectAdjustmentClusters() const {
-  std::set<std::string> clusters;
-  for (const std::string& node : ConfounderNodes()) {
-    auto id = graph_.NodeIdOf(node);
-    if (!id.ok()) continue;
-    for (const std::string& member : nodes_[*id].members) {
-      clusters.insert(member);
-    }
-  }
-  return std::vector<std::string>(clusters.begin(), clusters.end());
+  return UnionOf(nodes_,
+                 EndpointQuery(graph_, exposure_node_, outcome_node_,
+                               &graph::Confounders),
+                 &SummaryNode::members);
 }
 
 std::vector<std::string> SummaryDag::TotalEffectAdjustmentAttributes() const {
-  std::set<std::string> attrs;
-  for (const std::string& node : ConfounderNodes()) {
-    auto id = graph_.NodeIdOf(node);
-    if (!id.ok()) continue;
-    for (const std::string& attr : nodes_[*id].attributes) {
-      attrs.insert(attr);
-    }
-  }
-  return std::vector<std::string>(attrs.begin(), attrs.end());
+  return UnionOf(nodes_,
+                 EndpointQuery(graph_, exposure_node_, outcome_node_,
+                               &graph::Confounders),
+                 &SummaryNode::attributes);
 }
 
 std::string SummaryDag::ToDot() const {

@@ -90,10 +90,11 @@ class SummaryDag {
   /// the cluster was not a node of the summarized DAG.
   Result<std::string> NodeOf(const std::string& original_cluster) const;
 
-  /// Super-nodes that are common ancestors of the exposure and outcome
-  /// nodes in the summary graph — the summary-level confounders.
+  /// graph::Confounders of the exposure and outcome nodes in the summary
+  /// graph — the summary-level confounders.
   std::set<std::string> ConfounderNodes() const;
-  /// Super-nodes on a directed exposure -> outcome path in the summary.
+  /// graph::Mediators: super-nodes on a directed exposure -> outcome path
+  /// in the summary.
   std::set<std::string> MediatorNodes() const;
 
   /// Original cluster names inside the confounder super-nodes, sorted —

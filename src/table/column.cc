@@ -14,7 +14,6 @@ namespace {
 constexpr char kKeyNull = '\x00';
 constexpr char kKeyNumeric = 'n';
 constexpr char kKeyBool = 'b';
-constexpr char kKeyString = 's';
 constexpr char kKeyCode = 'c';
 
 /// One canonical bit pattern for every NaN, so NaN keys compare equal
@@ -204,25 +203,6 @@ Status Column::Append(Value v) {
   if (v.is_int64()) return AppendInt64(v.as_int64());
   if (v.is_bool()) return AppendBool(v.as_bool());
   return AppendString(v.as_string());
-}
-
-Status Column::AppendFrom(const Column& src, std::size_t row) {
-  CDI_CHECK(row < src.size_);
-  if (src.NullBit(row)) {
-    AppendNull();
-    return Status::OK();
-  }
-  switch (src.type_) {
-    case DataType::kDouble:
-      return AppendDouble(src.doubles_[row]);
-    case DataType::kInt64:
-      return AppendInt64(src.ints_[row]);
-    case DataType::kString:
-      return AppendString(src.dict_[src.codes_[row]]);
-    case DataType::kBool:
-      return AppendBool(src.bools_[row] != 0);
-  }
-  return Status::Internal("bad column type");
 }
 
 Status Column::AppendChunk(const Column& src) {
@@ -572,8 +552,7 @@ bool Column::TypeChecks() const {
   return true;
 }
 
-void Column::AppendKeyBytes(std::size_t row, bool column_local,
-                            std::string* out) const {
+void Column::AppendKeyBytes(std::size_t row, std::string* out) const {
   CDI_CHECK(row < size_);
   if (NullBit(row)) {
     out->push_back(kKeyNull);
@@ -587,9 +566,7 @@ void Column::AppendKeyBytes(std::size_t row, bool column_local,
       break;
     }
     case DataType::kInt64: {
-      // Same encoding as doubles, so int64 keys match equal-valued double
-      // keys across a join (Append already widens ints into double
-      // columns; this keeps the key domains consistent).
+      // Same encoding as doubles (the domain Append widens ints into).
       out->push_back(kKeyNumeric);
       const uint64_t bits =
           CanonicalBits(static_cast<double>(ints_[row]));
@@ -597,17 +574,9 @@ void Column::AppendKeyBytes(std::size_t row, bool column_local,
       break;
     }
     case DataType::kString: {
-      if (column_local) {
-        out->push_back(kKeyCode);
-        const int32_t code = codes_[row];
-        AppendRaw(out, &code, sizeof(code));
-      } else {
-        const std::string& s = dict_[codes_[row]];
-        out->push_back(kKeyString);
-        const uint64_t len = s.size();
-        AppendRaw(out, &len, sizeof(len));
-        out->append(s);
-      }
+      out->push_back(kKeyCode);
+      const int32_t code = codes_[row];
+      AppendRaw(out, &code, sizeof(code));
       break;
     }
     case DataType::kBool: {

@@ -56,8 +56,6 @@ class Column {
   Status AppendInt64(int64_t v);
   Status AppendBool(bool v);
   Status AppendString(std::string v);
-  /// Appends `src`'s cell at `row` (types must be compatible as in Append).
-  Status AppendFrom(const Column& src, std::size_t row);
 
   /// Appends all of `src`'s cells in order — the batch-ingest fast path:
   /// typed buffers are spliced wholesale (no per-row Value boxing), the
@@ -135,16 +133,14 @@ class Column {
   std::size_t ByteSize() const;
 
   /// Appends an exact typed encoding of the cell at `row` to `out`, for
-  /// composite hash keys (join / group-by / distinct). Numeric cells
-  /// (double, int64) encode as the bit pattern of their double value with
-  /// NaN canonicalized, so keys match exactly — never through a decimal
-  /// rendering. Strings encode as length + content, or as the 32-bit
-  /// dictionary code when `column_local` (valid only for keys drawn from
-  /// this same column, e.g. group-by; cross-column joins must pass false).
-  /// Nulls encode as a dedicated tag. Each cell's encoding is prefix-free,
-  /// so concatenated composite keys are unambiguous.
-  void AppendKeyBytes(std::size_t row, bool column_local,
-                      std::string* out) const;
+  /// composite row keys (Table::DistinctRows). Numeric cells (double,
+  /// int64) encode as the bit pattern of their double value with NaN
+  /// canonicalized, so keys match exactly — never through a decimal
+  /// rendering. Strings encode as their 32-bit dictionary code, so keys
+  /// compare only against keys drawn from this same column. Nulls encode
+  /// as a dedicated tag. Each cell's encoding is prefix-free, so
+  /// concatenated composite keys are unambiguous.
+  void AppendKeyBytes(std::size_t row, std::string* out) const;
 
  private:
   Status CheckType(const Value& v) const;

@@ -229,7 +229,7 @@ Table Table::DistinctRows() const {
   for (std::size_t r = 0; r < num_rows(); ++r) {
     key.clear();
     for (const auto& c : columns_) {
-      c.AppendKeyBytes(r, /*column_local=*/true, &key);
+      c.AppendKeyBytes(r, &key);
     }
     if (seen.insert(key).second) keep.push_back(r);
   }

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -292,6 +293,63 @@ TEST(StringUtilTest, JaroWinklerPrefixBonus) {
 TEST(StringUtilTest, FormatDouble) {
   EXPECT_EQ(FormatDouble(0.456789, 2), "0.46");
   EXPECT_EQ(FormatDouble(1.0, 3), "1.000");
+}
+
+TEST(StringUtilTest, ParseUnsignedIsStrict) {
+  EXPECT_EQ(*ParseUnsigned("n", "0"), 0u);
+  EXPECT_EQ(*ParseUnsigned("n", "42"), 42u);
+  EXPECT_EQ(*ParseUnsigned("n", "18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  // Sign, blank, fraction, exponent, trailing junk: every one of these
+  // used to parse through atoi/atoll as some number.
+  for (const char* bad :
+       {"", "-1", "+1", " 1", "1 ", "1.5", "1e3", "abc", "12abc", "0x10"}) {
+    auto r = ParseUnsigned("queue-depth", bad);
+    ASSERT_FALSE(r.ok()) << "'" << bad << "'";
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(r.status().message(), std::string("bad queue-depth value '") +
+                                        bad +
+                                        "' (expected a non-negative integer)");
+  }
+  auto overflow = ParseUnsigned("k", "18446744073709551616");
+  ASSERT_FALSE(overflow.ok());
+  EXPECT_EQ(overflow.status().message(),
+            "bad k value '18446744073709551616' (out of range)");
+  auto above = ParseUnsigned("shards", "4097", 4096);
+  ASSERT_FALSE(above.ok());
+  EXPECT_EQ(above.status().message(),
+            "bad shards value '4097' (at most 4096)");
+  EXPECT_EQ(*ParseUnsigned("shards", "4096", 4096), 4096u);
+}
+
+TEST(StringUtilTest, ParseFiniteDoubleIsStrict) {
+  EXPECT_EQ(*ParseFiniteDouble("x", "0.25"), 0.25);
+  EXPECT_EQ(*ParseFiniteDouble("x", "-1e-3"), -1e-3);
+  for (const char* bad : {"", "abc", "0.5x", "nan", "inf", "-inf", "1e999"}) {
+    auto r = ParseFiniteDouble("min-hit-rate", bad);
+    ASSERT_FALSE(r.ok()) << "'" << bad << "'";
+    EXPECT_EQ(r.status().message(), std::string("bad min-hit-rate value '") +
+                                        bad + "' (expected a finite number)");
+  }
+}
+
+TEST(StringUtilTest, ParseNumberBoundsByTargetType) {
+  int i = 7;
+  EXPECT_TRUE(ParseNumber("workers", "12", &i).ok());
+  EXPECT_EQ(i, 12);
+  // Past INT_MAX fails and leaves the target untouched.
+  EXPECT_FALSE(ParseNumber("workers", "2147483648", &i).ok());
+  EXPECT_FALSE(ParseNumber("workers", "-1", &i).ok());
+  EXPECT_EQ(i, 12);
+  std::size_t z = 0;
+  EXPECT_FALSE(ParseNumber("registry-shards", "9", &z, 8).ok());
+  EXPECT_TRUE(ParseNumber("registry-shards", "8", &z, 8).ok());
+  EXPECT_EQ(z, 8u);
+  double d = 0.0;
+  EXPECT_TRUE(ParseNumber("zipf-s", "1.1", &d).ok());
+  EXPECT_EQ(d, 1.1);
+  EXPECT_FALSE(ParseNumber("zipf-s", "abc", &d).ok());
+  EXPECT_EQ(d, 1.1);
 }
 
 // ---------------------------------------------------------------- timer

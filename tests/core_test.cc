@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <set>
 
 #include "common/rng.h"
 #include "core/cdag.h"
@@ -9,8 +12,11 @@
 #include "core/identifiability.h"
 #include "core/knowledge_extractor.h"
 #include "core/varclus.h"
+#include "graph/adjustment.h"
+#include "graph/random_graph.h"
 #include "stats/descriptive.h"
 #include "stats/factor_cache.h"
+#include "summarize/summarize.h"
 
 namespace cdi::core {
 namespace {
@@ -183,6 +189,137 @@ TEST(ClusterDagTest, WorksOnCyclicClaimGraphs) {
   CDI_CHECK(cdag->mutable_graph().AddEdge("m", "o").ok());
   const auto meds = cdag->MediatorClusters();
   EXPECT_TRUE(meds.count("m"));
+}
+
+/// Brute-force reference for the identification primitive: mediators
+/// from an enumeration of every directed path t -> ... -> o, confounders
+/// from a Floyd-Warshall reachability closure — no Digraph traversal.
+struct BruteForceIdentification {
+  std::set<std::string> mediators;
+  std::set<std::string> confounders;
+};
+
+BruteForceIdentification BruteForce(const graph::Digraph& g, graph::NodeId t,
+                                     graph::NodeId o) {
+  const std::size_t n = g.num_nodes();
+  std::vector<std::vector<bool>> adj(n, std::vector<bool>(n, false));
+  for (const auto& [u, v] : g.Edges()) adj[u][v] = true;
+
+  BruteForceIdentification out;
+  std::vector<graph::NodeId> path{t};
+  std::function<void(graph::NodeId)> walk = [&](graph::NodeId u) {
+    for (graph::NodeId v = 0; v < n; ++v) {
+      if (!adj[u][v]) continue;
+      if (v == o) {
+        for (std::size_t i = 1; i < path.size(); ++i) {
+          out.mediators.insert(g.NodeName(path[i]));
+        }
+        continue;
+      }
+      path.push_back(v);
+      walk(v);
+      path.pop_back();
+    }
+  };
+  walk(t);
+
+  auto reach = adj;  // reach[u][v]: a directed path u -> ... -> v exists
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        if (reach[i][k] && reach[k][j]) reach[i][j] = true;
+      }
+    }
+  }
+  for (graph::NodeId v = 0; v < n; ++v) {
+    if (v != t && v != o && reach[v][t] && reach[v][o]) {
+      out.confounders.insert(g.NodeName(v));
+    }
+  }
+  return out;
+}
+
+/// Sorted member attributes ("x_<cluster>") of singleton clusters.
+std::vector<std::string> SingletonAttributes(
+    const std::set<std::string>& clusters) {
+  std::vector<std::string> out;
+  for (const auto& c : clusters) out.push_back("x_" + c);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(ClusterDagTest, IdentificationMatchesBruteForceOnRandomDags) {
+  // graph::Mediators / graph::Confounders, the ClusterDag readers built
+  // on them (the *Between / *AdjustmentFor forms and the exposure ->
+  // outcome forwards) and the identity summary's readers must all agree
+  // with the brute-force reference on every ordered pair.
+  Rng rng(2024);
+  std::size_t pairs = 0;
+  for (int trial = 0; trial < 48; ++trial) {
+    const std::size_t n = 6 + static_cast<std::size_t>(trial) % 4;
+    const graph::Digraph g = graph::RandomDag(n, 0.35, &rng);
+    std::map<std::string, std::vector<std::string>> members;
+    for (const auto& name : g.NodeNames()) members[name] = {"x_" + name};
+    for (graph::NodeId t = 0; t < n; ++t) {
+      for (graph::NodeId o = 0; o < n; ++o) {
+        if (t == o) continue;
+        ++pairs;
+        const std::string& tn = g.NodeName(t);
+        const std::string& on = g.NodeName(o);
+        const std::string ctx =
+            "trial " + std::to_string(trial) + " " + tn + " -> " + on;
+        const BruteForceIdentification want = BruteForce(g, t, o);
+        std::set<std::string> direct = want.mediators;
+        direct.insert(want.confounders.begin(), want.confounders.end());
+
+        auto med_ids = graph::Mediators(g, t, o);
+        auto conf_ids = graph::Confounders(g, t, o);
+        ASSERT_TRUE(med_ids.ok() && conf_ids.ok()) << ctx;
+        EXPECT_EQ(g.NamesOf(*med_ids), want.mediators) << ctx;
+        EXPECT_EQ(g.NamesOf(*conf_ids), want.confounders) << ctx;
+
+        auto cdag = ClusterDag::Create(members, tn, on);
+        ASSERT_TRUE(cdag.ok()) << ctx;
+        for (const auto& [u, v] : g.Edges()) {
+          CDI_CHECK(
+              cdag->mutable_graph().AddEdge(g.NodeName(u), g.NodeName(v)).ok());
+        }
+        EXPECT_EQ(*cdag->MediatorClustersBetween(tn, on), want.mediators)
+            << ctx;
+        EXPECT_EQ(*cdag->ConfounderClustersBetween(tn, on), want.confounders)
+            << ctx;
+        EXPECT_EQ(*cdag->DirectEffectAdjustmentFor(tn, on),
+                  SingletonAttributes(direct))
+            << ctx;
+        EXPECT_EQ(*cdag->TotalEffectAdjustmentFor(tn, on),
+                  SingletonAttributes(want.confounders))
+            << ctx;
+        EXPECT_EQ(cdag->MediatorClusters(), want.mediators) << ctx;
+        EXPECT_EQ(cdag->ConfounderClusters(), want.confounders) << ctx;
+        EXPECT_EQ(cdag->DirectEffectAdjustmentAttributes(),
+                  SingletonAttributes(direct))
+            << ctx;
+        EXPECT_EQ(cdag->TotalEffectAdjustmentAttributes(),
+                  SingletonAttributes(want.confounders))
+            << ctx;
+
+        summarize::SummarizeOptions identity;
+        identity.budget = n;
+        auto summary = summarize::SummarizeClusterDag(*cdag, identity);
+        ASSERT_TRUE(summary.ok()) << ctx;
+        EXPECT_EQ(summary->MediatorNodes(), want.mediators) << ctx;
+        EXPECT_EQ(summary->ConfounderNodes(), want.confounders) << ctx;
+        const std::vector<std::string> want_clusters(
+            want.confounders.begin(), want.confounders.end());
+        EXPECT_EQ(summary->TotalEffectAdjustmentClusters(), want_clusters)
+            << ctx;
+        EXPECT_EQ(summary->TotalEffectAdjustmentAttributes(),
+                  SingletonAttributes(want.confounders))
+            << ctx;
+      }
+    }
+  }
+  EXPECT_GE(pairs, 40u * 30u);
 }
 
 // -------------------------------------------------------------- HoldsFd

@@ -238,13 +238,6 @@ TEST(AdjustmentTest, MinimalBackdoorShrinksRedundantParents) {
   EXPECT_TRUE(minimal->count(2));
 }
 
-TEST(AdjustmentTest, DirectEffectAdjustmentSet) {
-  Digraph g = ConfounderGraph();
-  auto adj = DirectEffectAdjustmentSet(g, 0, 1);
-  ASSERT_TRUE(adj.ok());
-  EXPECT_EQ(adj->size(), 2u);  // mediator m and confounder z
-}
-
 TEST(AdjustmentTest, PropertyParentSetIsAlwaysValidBackdoor) {
   Rng rng(73);
   int checked = 0;
@@ -613,9 +606,9 @@ TEST(AdjustmentTest, EmptySetsOnDirectEdgeOnlyGraph) {
   auto med = Mediators(g, 0, 1);
   ASSERT_TRUE(med.ok());
   EXPECT_TRUE(med->empty());  // nothing strictly between t and o
-  auto direct = DirectEffectAdjustmentSet(g, 0, 1);
-  ASSERT_TRUE(direct.ok());
-  EXPECT_TRUE(direct->empty());
+  auto conf = Confounders(g, 0, 1);
+  ASSERT_TRUE(conf.ok());
+  EXPECT_TRUE(conf->empty());
   // The direct edge d-connects t and o under any conditioning set.
   auto sep = DSeparated(g, 0, 1, {});
   ASSERT_TRUE(sep.ok());

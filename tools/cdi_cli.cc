@@ -33,6 +33,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/string_util.h"
 #include "core/pipeline.h"
 #include "graph/dot.h"
 #include "knowledge/data_lake.h"
@@ -74,6 +75,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       return (i + 1 < argc) ? argv[++i] : nullptr;
     };
     const char* v = nullptr;
+    cdi::Status parsed;
     if (flag == "--input" && (v = next())) {
       args->input = v;
     } else if (flag == "--entity-col" && (v = next())) {
@@ -89,13 +91,17 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--knowledge" && (v = next())) {
       args->knowledge_file = v;
     } else if (flag == "--clusters" && (v = next())) {
-      args->clusters = std::atoi(v);
+      parsed = cdi::ParseNumber(flag, v, &args->clusters);
     } else if (flag == "--num-threads" && (v = next())) {
-      args->num_threads = std::atoi(v);
+      parsed = cdi::ParseNumber(flag, v, &args->num_threads);
     } else if (flag == "--out-prefix" && (v = next())) {
       args->out_prefix = v;
     } else {
       std::fprintf(stderr, "unknown or incomplete flag: %s\n", flag.c_str());
+      return false;
+    }
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "%s\n", parsed.message().c_str());
       return false;
     }
   }

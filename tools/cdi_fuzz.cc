@@ -25,6 +25,7 @@
 #include <iostream>
 #include <string>
 
+#include "common/string_util.h"
 #include "testing/harness.h"
 
 namespace {
@@ -54,12 +55,13 @@ int main(int argc, char** argv) {
       return (i + 1 < argc) ? argv[++i] : nullptr;
     };
     const char* v = nullptr;
+    cdi::Status parsed;
     if (flag == "--trials" && (v = next())) {
-      trials = static_cast<std::size_t>(std::atoll(v));
+      parsed = cdi::ParseNumber(flag, v, &trials);
     } else if (flag == "--seed" && (v = next())) {
-      seed = static_cast<uint64_t>(std::atoll(v));
+      parsed = cdi::ParseNumber(flag, v, &seed);
     } else if (flag == "--num-threads" && (v = next())) {
-      options.num_threads = std::atoi(v);
+      parsed = cdi::ParseNumber(flag, v, &options.num_threads);
     } else if (flag == "--no-metamorphic") {
       options.run_metamorphic = false;
     } else if (flag == "--no-summarize") {
@@ -72,21 +74,23 @@ int main(int argc, char** argv) {
       }
       options.fault = *kind;
     } else if (flag == "--min-entities" && (v = next())) {
-      options.scenario.min_entities =
-          static_cast<std::size_t>(std::atoll(v));
+      parsed = cdi::ParseNumber(flag, v, &options.scenario.min_entities);
     } else if (flag == "--max-entities" && (v = next())) {
-      options.scenario.max_entities =
-          static_cast<std::size_t>(std::atoll(v));
+      parsed = cdi::ParseNumber(flag, v, &options.scenario.max_entities);
     } else if (flag == "--max-clusters" && (v = next())) {
-      options.scenario.max_clusters =
-          static_cast<std::size_t>(std::atoll(v));
+      parsed = cdi::ParseNumber(flag, v, &options.scenario.max_clusters);
     } else if (flag == "--direct-effect-tol" && (v = next())) {
-      options.checks.direct_effect_tolerance = std::atof(v);
+      parsed =
+          cdi::ParseNumber(flag, v, &options.checks.direct_effect_tolerance);
     } else if (flag == "--max-failed-trials" && (v = next())) {
-      options.max_failed_trials = static_cast<std::size_t>(std::atoll(v));
+      parsed = cdi::ParseNumber(flag, v, &options.max_failed_trials);
     } else if (flag == "--quiet") {
       quiet = true;
     } else {
+      return Usage(argv[0]);
+    }
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "%s\n", parsed.message().c_str());
       return Usage(argv[0]);
     }
   }

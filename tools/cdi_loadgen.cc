@@ -85,6 +85,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "core/cdag.h"
 #include "core/pipeline.h"
 #include "core/plan.h"
@@ -143,24 +144,25 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       return (i + 1 < argc) ? argv[++i] : nullptr;
     };
     const char* v = nullptr;
+    cdi::Status parsed;
     if (flag == "--scenario" && (v = next())) {
       args->scenario = v;
     } else if (flag == "--entities" && (v = next())) {
-      args->entities = static_cast<std::size_t>(std::atoll(v));
+      parsed = cdi::ParseNumber(flag, v, &args->entities);
     } else if (flag == "--clients" && (v = next())) {
-      args->clients = std::atoi(v);
+      parsed = cdi::ParseNumber(flag, v, &args->clients);
     } else if (flag == "--requests" && (v = next())) {
-      args->requests = std::atoi(v);
+      parsed = cdi::ParseNumber(flag, v, &args->requests);
     } else if (flag == "--workers" && (v = next())) {
-      args->workers = std::atoi(v);
+      parsed = cdi::ParseNumber(flag, v, &args->workers);
     } else if (flag == "--queue-depth" && (v = next())) {
-      args->queue_depth = static_cast<std::size_t>(std::atoll(v));
+      parsed = cdi::ParseNumber(flag, v, &args->queue_depth);
     } else if (flag == "--distinct" && (v = next())) {
-      args->distinct = std::atoi(v);
+      parsed = cdi::ParseNumber(flag, v, &args->distinct);
     } else if (flag == "--seed" && (v = next())) {
-      args->seed = static_cast<std::uint64_t>(std::atoll(v));
+      parsed = cdi::ParseNumber(flag, v, &args->seed);
     } else if (flag == "--min-hit-rate" && (v = next())) {
-      args->min_hit_rate = std::atof(v);
+      parsed = cdi::ParseNumber(flag, v, &args->min_hit_rate);
     } else if (flag == "--no-verify") {
       args->verify = false;
     } else if (flag == "--no-warmup") {
@@ -170,21 +172,27 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--summarize-mix") {
       args->summarize_mix = true;
     } else if (flag == "--churn-rows" && (v = next())) {
-      args->churn_rows = static_cast<std::size_t>(std::atoll(v));
+      parsed = cdi::ParseNumber(flag, v, &args->churn_rows);
     } else if (flag == "--churn-batches" && (v = next())) {
-      args->churn_batches = std::atoi(v);
+      parsed = cdi::ParseNumber(flag, v, &args->churn_batches);
     } else if (flag == "--scenarios" && (v = next())) {
-      args->grid_scenarios = static_cast<std::size_t>(std::atoll(v));
+      parsed = cdi::ParseNumber(flag, v, &args->grid_scenarios);
     } else if (flag == "--skew" && (v = next())) {
       args->skew = v;
     } else if (flag == "--zipf-s" && (v = next())) {
-      args->zipf_s = std::atof(v);
+      parsed = cdi::ParseNumber(flag, v, &args->zipf_s);
     } else if (flag == "--registry-shards" && (v = next())) {
-      args->registry_shards = static_cast<std::size_t>(std::atoll(v));
+      parsed = cdi::ParseNumber(flag, v, &args->registry_shards,
+                                cdi::serve::kMaxRegistryShards);
     } else if (flag == "--memory-budget-kb" && (v = next())) {
-      args->memory_budget_kb = static_cast<std::size_t>(std::atoll(v));
+      parsed = cdi::ParseNumber(flag, v, &args->memory_budget_kb,
+                                SIZE_MAX / 1024);
     } else {
       std::fprintf(stderr, "unknown or incomplete flag: %s\n", flag.c_str());
+      return false;
+    }
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "%s\n", parsed.message().c_str());
       return false;
     }
   }

@@ -109,22 +109,29 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       return (i + 1 < argc) ? argv[++i] : nullptr;
     };
     const char* v = nullptr;
+    cdi::Status parsed;
     if (flag == "--workers" && (v = next())) {
-      args->workers = std::atoi(v);
+      parsed = cdi::ParseNumber(flag, v, &args->workers);
     } else if (flag == "--queue-depth" && (v = next())) {
-      args->queue_depth = static_cast<std::size_t>(std::atoll(v));
+      parsed = cdi::ParseNumber(flag, v, &args->queue_depth);
     } else if (flag == "--pipeline-threads" && (v = next())) {
-      args->pipeline_threads = std::atoi(v);
+      parsed = cdi::ParseNumber(flag, v, &args->pipeline_threads);
     } else if (flag == "--entities" && (v = next())) {
-      args->entities = static_cast<std::size_t>(std::atoll(v));
+      parsed = cdi::ParseNumber(flag, v, &args->entities);
     } else if (flag == "--scenarios" && (v = next())) {
       args->scenarios = cdi::Split(v, ',');
     } else if (flag == "--registry-shards" && (v = next())) {
-      args->registry_shards = static_cast<std::size_t>(std::atoll(v));
+      parsed = cdi::ParseNumber(flag, v, &args->registry_shards,
+                                cdi::serve::kMaxRegistryShards);
     } else if (flag == "--memory-budget-kb" && (v = next())) {
-      args->memory_budget_kb = static_cast<std::size_t>(std::atoll(v));
+      parsed = cdi::ParseNumber(flag, v, &args->memory_budget_kb,
+                                SIZE_MAX / 1024);
     } else {
       std::fprintf(stderr, "unknown or incomplete flag: %s\n", flag.c_str());
+      return false;
+    }
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "%s\n", parsed.message().c_str());
       return false;
     }
   }

@@ -2,7 +2,7 @@
 """Perf smoke gate for the kernel and serving-layer benchmarks.
 
 Runs the bench_micro kernel benchmarks (blocked covariance, reference
-kernel, incremental append, knowledge extraction) plus the query-serving
+kernel, row append, knowledge extraction) plus the query-serving
 paths (cache hit, cache miss, single-flight coalescing, planned-query
 steady state, C-DAG artifact build, summarization build and
 cached-summary hit) with a short
@@ -25,11 +25,11 @@ import subprocess
 import sys
 
 # The benchmarks guarded by this gate: the statistics kernels plus the
-# serving-layer paths. Unrelated benches (joins, pipeline end-to-end)
-# stay out so they don't add noise.
+# serving-layer paths. Unrelated benches (pipeline end-to-end) stay out
+# so they don't add noise.
 BENCH_FILTER = (
     "BM_CorrelationMatrix|BM_CovarianceReference|BM_CovarianceBlockedSweep|"
-    "BM_SufficientStatsAppend|BM_AppendRows|BM_ServeCacheHit|"
+    "BM_AppendRows|BM_ServeCacheHit|"
     "BM_ServeCacheMiss|BM_ServeSingleFlight|BM_ServePlannedQuery|"
     "BM_CdagArtifactBuild|BM_UpdateScenario|"
     "BM_RegisterScenario|BM_RegistryLookupSharded|BM_EvictionChurn|"
