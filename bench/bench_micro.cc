@@ -26,6 +26,7 @@
 #include "discovery/pc.h"
 #include "graph/dsep.h"
 #include "graph/random_graph.h"
+#include "serve/line_protocol.h"
 #include "serve/query_server.h"
 #include "serve/scenario_registry.h"
 #include "summarize/summarize.h"
@@ -684,18 +685,15 @@ void BM_SummarizeDag(benchmark::State& state) {
 }
 BENCHMARK(BM_SummarizeDag)->UseRealTime();
 
-/// Warm summary-cache hit: admission + per-(scenario, epoch, budget)
-/// summary-cache lookup + shared-artifact response, no merge pass. The
-/// interactive-latency target for a cached summary rides on this path;
-/// ->Threads(8) measures contention against readers of the same entry.
-void BM_ServeSummaryHit(benchmark::State& state) {
-  auto& f = ServeFixture::Get();
-  static const cdi::serve::CdiQuery query = [&f] {
+/// The deepest achievable summarize query (format=dot) on the serving
+/// fixture, probed once downward; each successful probe also warms the
+/// summary cache for that budget.
+const cdi::serve::CdiQuery& DeepestSummaryQuery() {
+  static const cdi::serve::CdiQuery query = [] {
+    auto& f = ServeFixture::Get();
     cdi::serve::CdiQuery q = f.query;
     q.mode = cdi::serve::QueryMode::kSummarize;
     q.summarize_format = "dot";
-    // Probe downward for the deepest achievable budget; each successful
-    // probe also warms the summary cache for that budget.
     std::size_t deepest = 0;
     for (std::size_t k = 32; k >= 2; --k) {
       q.summarize_k = k;
@@ -709,12 +707,42 @@ void BM_ServeSummaryHit(benchmark::State& state) {
     q.summarize_k = deepest;
     return q;
   }();
+  return query;
+}
+
+/// Warm summary-cache hit: admission + per-(scenario, epoch, budget)
+/// summary-cache lookup + shared-artifact response, no merge pass. The
+/// interactive-latency target for a cached summary rides on this path;
+/// ->Threads(8) measures contention against readers of the same entry.
+void BM_ServeSummaryHit(benchmark::State& state) {
+  auto& f = ServeFixture::Get();
+  const cdi::serve::CdiQuery& query = DeepestSummaryQuery();
   for (auto _ : state) {
     auto response = f.server.Execute(query);
     benchmark::DoNotOptimize(response.summary != nullptr);
   }
 }
 BENCHMARK(BM_ServeSummaryHit)->UseRealTime()->Threads(1)->Threads(8);
+
+/// A hit as the client receives it: Execute + FormatResponseLine, one arg
+/// per mode (0 full, 1 planned, 2 summarize dot, 3 summarize json).
+/// BM_ServeCacheHit and BM_ServeSummaryHit stop before the response line.
+void BM_ServeHitLine(benchmark::State& state) {
+  auto& f = ServeFixture::Get();
+  cdi::serve::CdiQuery query = f.query;
+  if (state.range(0) == 1) query.mode = cdi::serve::QueryMode::kPlanned;
+  if (state.range(0) >= 2) {
+    query = DeepestSummaryQuery();
+    query.summarize_format = state.range(0) == 3 ? "json" : "dot";
+  }
+  CDI_CHECK(f.server.Execute(query).status.ok());  // warm the entry
+  for (auto _ : state) {
+    const std::string line =
+        cdi::serve::FormatResponseLine(query, f.server.Execute(query));
+    benchmark::DoNotOptimize(line.data());
+  }
+}
+BENCHMARK(BM_ServeHitLine)->DenseRange(0, 3)->UseRealTime();
 
 /// Epoch rollover: one 25-row batch through ScenarioRegistry's
 /// UpdateScenario — table copy + typed chunk splice + sufficient-stats

@@ -1,12 +1,14 @@
 #include "serve/line_protocol.h"
 
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "common/hash.h"
+#include "common/logging.h"
 #include "common/string_util.h"
 
 namespace cdi::serve {
@@ -230,10 +232,29 @@ std::string SanitizeMessage(std::string msg) {
   return msg;
 }
 
+/// Appends the fields naming the query: `scenario=S` plus the summary
+/// budget and format, or the exposure/outcome pair.
+void AppendQueryFields(std::string* out, const CdiQuery& query) {
+  *out += "scenario=";
+  *out += query.scenario;
+  if (query.mode == QueryMode::kSummarize) {
+    *out += " mode=summarize k=";
+    *out += std::to_string(query.summarize_k);
+    *out += " format=";
+    *out += query.summarize_format;
+  } else {
+    *out += " T=";
+    *out += query.exposure;
+    *out += " O=";
+    *out += query.outcome;
+  }
+}
+
 /// The `<seconds>` of a `timeout=<seconds>` argument. strtod happily
 /// parses "-5", "nan" and "inf", each of which would silently mean "no
 /// deadline" downstream, so only finite non-negative numbers pass.
-Result<double> ParseTimeout(const std::string& value) {
+Result<double> ParseTimeout(std::string_view text) {
+  const std::string value(text);
   char* end = nullptr;
   const double seconds = std::strtod(value.c_str(), &end);
   if (end == nullptr || *end != '\0' || value.empty()) {
@@ -247,56 +268,92 @@ Result<double> ParseTimeout(const std::string& value) {
   return seconds;
 }
 
+/// Splits a command line at runs of whitespace: the std::isspace set
+/// Trim strips, so tabs, CRs, VTs, FFs and repeated spaces all separate
+/// tokens like one space does.
+class Tokenizer {
+ public:
+  explicit Tokenizer(std::string_view line) : rest_(line) {}
+
+  /// The next token; empty once the line is used up.
+  std::string_view Next() {
+    std::size_t begin = 0;
+    while (begin < rest_.size() && IsSpace(rest_[begin])) ++begin;
+    std::size_t end = begin;
+    while (end < rest_.size() && !IsSpace(rest_[end])) ++end;
+    const std::string_view token = rest_.substr(begin, end - begin);
+    rest_.remove_prefix(end);
+    return token;
+  }
+
+ private:
+  static bool IsSpace(char c) {
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+  }
+
+  std::string_view rest_;
+};
+
 }  // namespace
 
 std::string FormatResponseLine(const CdiQuery& query,
                                const QueryResponse& response) {
-  std::ostringstream out;
-  const bool summarize = query.mode == QueryMode::kSummarize;
-  if (response.status.ok()) {
-    out << "ok scenario=" << query.scenario;
-    if (summarize) {
-      out << " mode=summarize k=" << query.summarize_k
-          << " format=" << query.summarize_format;
-    } else {
-      out << " T=" << query.exposure << " O=" << query.outcome;
-      if (response.planned != nullptr) out << " mode=planned";
-    }
-    out << " source=" << ResponseSourceName(response.source) << " ";
-    if (response.summary != nullptr) {
-      out << FormatSummaryPayload(*response.summary, query.summarize_format);
-    } else if (response.planned != nullptr) {
-      out << FormatPairAnswerPayload(*response.planned);
-    } else {
-      out << FormatResultPayload(*response.result);
-    }
-    char tail[96];
-    std::snprintf(tail, sizeof(tail), " latency_us=%.1f",
-                  response.latency_seconds * 1e6);
-    out << tail;
-  } else {
-    out << "error scenario=" << query.scenario;
-    if (summarize) {
-      out << " mode=summarize k=" << query.summarize_k
-          << " format=" << query.summarize_format;
-    } else {
-      out << " T=" << query.exposure << " O=" << query.outcome;
-    }
-    out << " code=" << StatusCodeName(response.status.code())
-        << " message=\"" << SanitizeMessage(response.status.message())
-        << "\"";
+  std::string line;
+  if (!response.status.ok()) {
+    line += "error ";
+    AppendQueryFields(&line, query);
+    line += " code=";
+    line += StatusCodeName(response.status.code());
+    line += " message=\"";
+    line += SanitizeMessage(response.status.message());
+    line += '"';
+    return line;
   }
-  return out.str();
+  CDI_CHECK(response.rendering != nullptr)
+      << "an OK response carries its rendered payload";
+  const std::string& payload =
+      query.mode == QueryMode::kSummarize && query.summarize_format == "json"
+          ? response.rendering->json_payload
+          : response.rendering->payload;
+  char tail[96];
+  std::snprintf(tail, sizeof(tail), " latency_us=%.1f",
+                response.latency_seconds * 1e6);
+  // Fixed field names, the k digits, the source name and the tail fit in
+  // the slack, so the join below allocates once.
+  constexpr std::size_t kSlack = 96 + sizeof(tail);
+  line.reserve(kSlack + query.scenario.size() + query.exposure.size() +
+               query.outcome.size() + query.summarize_format.size() +
+               payload.size());
+  line += "ok ";
+  AppendQueryFields(&line, query);
+  if (response.planned != nullptr) line += " mode=planned";
+  line += " source=";
+  line += ResponseSourceName(response.source);
+  line += ' ';
+  line += payload;
+  line += tail;
+  return line;
+}
+
+std::string_view ResponseLinePayload(std::string_view line) {
+  if (line.rfind("ok ", 0) != 0) return {};
+  std::size_t begin = line.find(" source=");
+  if (begin == std::string_view::npos) return {};
+  begin = line.find(' ', begin + 1);
+  const std::size_t end = line.rfind(" latency_us=");
+  if (begin == std::string_view::npos || end == std::string_view::npos ||
+      end <= begin) {
+    return {};
+  }
+  return line.substr(begin + 1, end - begin - 1);
 }
 
 Result<ServerCommand> ParseCommandLine(const std::string& line) {
-  const std::string trimmed = Trim(line);
-  if (trimmed.empty() || trimmed[0] == '#') {
+  Tokenizer tokens(line);
+  const std::string_view verb = tokens.Next();
+  if (verb.empty() || verb[0] == '#') {
     return Status::InvalidArgument("");
   }
-  std::istringstream in(trimmed);
-  std::string verb;
-  in >> verb;
   ServerCommand cmd;
   if (verb == "metrics") {
     cmd.kind = ServerCommand::Kind::kMetrics;
@@ -312,14 +369,14 @@ Result<ServerCommand> ParseCommandLine(const std::string& line) {
   }
   if (verb == "update") {
     cmd.kind = ServerCommand::Kind::kUpdate;
-    in >> cmd.update_scenario;
-    std::string arg;
-    while (in >> arg) {
+    cmd.update_scenario = tokens.Next();
+    for (std::string_view arg = tokens.Next(); !arg.empty();
+         arg = tokens.Next()) {
       if (arg.rfind("rows=", 0) == 0) {
         cmd.update_rows_path = arg.substr(5);
       } else {
-        return Status::InvalidArgument("unknown update argument '" + arg +
-                                       "'");
+        return Status::InvalidArgument("unknown update argument '" +
+                                       std::string(arg) + "'");
       }
     }
     if (cmd.update_scenario.empty() || cmd.update_rows_path.empty()) {
@@ -330,26 +387,25 @@ Result<ServerCommand> ParseCommandLine(const std::string& line) {
   }
   if (verb == "unregister") {
     cmd.kind = ServerCommand::Kind::kUnregister;
-    in >> cmd.target;
-    std::string extra;
-    if (cmd.target.empty() || (in >> extra)) {
+    cmd.target = tokens.Next();
+    if (cmd.target.empty() || !tokens.Next().empty()) {
       return Status::InvalidArgument("usage: unregister <scenario>");
     }
     return cmd;
   }
   if (verb == "register") {
     cmd.kind = ServerCommand::Kind::kRegister;
-    in >> cmd.target;
-    std::string arg;
-    while (in >> arg) {
+    cmd.target = tokens.Next();
+    for (std::string_view arg = tokens.Next(); !arg.empty();
+         arg = tokens.Next()) {
       if (arg.rfind("input=", 0) == 0) {
         cmd.register_input = arg.substr(6);
       } else if (arg.rfind("entity=", 0) == 0) {
         cmd.register_entity = arg.substr(7);
       } else if (arg.rfind("kg=", 0) == 0) {
-        cmd.register_kg.push_back(arg.substr(3));
+        cmd.register_kg.emplace_back(arg.substr(3));
       } else if (arg.rfind("lake=", 0) == 0) {
-        cmd.register_lake.push_back(arg.substr(5));
+        cmd.register_lake.emplace_back(arg.substr(5));
       } else if (arg.rfind("knowledge=", 0) == 0) {
         cmd.register_knowledge = arg.substr(10);
       } else if (arg.rfind("exposure=", 0) == 0) {
@@ -359,8 +415,8 @@ Result<ServerCommand> ParseCommandLine(const std::string& line) {
       } else if (arg == "replace") {
         cmd.replace = true;
       } else {
-        return Status::InvalidArgument("unknown register argument '" + arg +
-                                       "'");
+        return Status::InvalidArgument("unknown register argument '" +
+                                       std::string(arg) + "'");
       }
     }
     if (cmd.target.empty() || cmd.register_input.empty() ||
@@ -374,9 +430,9 @@ Result<ServerCommand> ParseCommandLine(const std::string& line) {
   }
   if (verb == "generate") {
     cmd.kind = ServerCommand::Kind::kGenerate;
-    in >> cmd.target;
-    std::string arg;
-    while (in >> arg) {
+    cmd.target = tokens.Next();
+    for (std::string_view arg = tokens.Next(); !arg.empty();
+         arg = tokens.Next()) {
       if (arg.rfind("grid=", 0) == 0) {
         cmd.grid_cell = arg.substr(5);
       } else if (arg.rfind("entities=", 0) == 0) {
@@ -388,8 +444,8 @@ Result<ServerCommand> ParseCommandLine(const std::string& line) {
       } else if (arg == "replace") {
         cmd.replace = true;
       } else {
-        return Status::InvalidArgument("unknown generate argument '" + arg +
-                                       "'");
+        return Status::InvalidArgument("unknown generate argument '" +
+                                       std::string(arg) + "'");
       }
     }
     if (cmd.target.empty() || cmd.grid_cell.empty()) {
@@ -402,12 +458,12 @@ Result<ServerCommand> ParseCommandLine(const std::string& line) {
   if (verb == "summarize") {
     cmd.kind = ServerCommand::Kind::kSummarize;
     cmd.query.mode = QueryMode::kSummarize;
-    in >> cmd.query.scenario;
+    cmd.query.scenario = tokens.Next();
     bool have_k = false;
-    std::string arg;
-    while (in >> arg) {
+    for (std::string_view arg = tokens.Next(); !arg.empty();
+         arg = tokens.Next()) {
       if (arg.rfind("k=", 0) == 0) {
-        const std::string value = arg.substr(2);
+        const std::string value(arg.substr(2));
         CDI_ASSIGN_OR_RETURN(const std::uint64_t v,
                              ParseUnsigned("k", value));
         if (v < 2) {
@@ -417,7 +473,7 @@ Result<ServerCommand> ParseCommandLine(const std::string& line) {
         cmd.query.summarize_k = static_cast<std::size_t>(v);
         have_k = true;
       } else if (arg.rfind("format=", 0) == 0) {
-        const std::string value = arg.substr(7);
+        const std::string value(arg.substr(7));
         if (value != "dot" && value != "json") {
           return Status::InvalidArgument("bad format value '" + value +
                                          "' (expected dot|json)");
@@ -427,8 +483,8 @@ Result<ServerCommand> ParseCommandLine(const std::string& line) {
         CDI_ASSIGN_OR_RETURN(cmd.query.timeout_seconds,
                              ParseTimeout(arg.substr(8)));
       } else {
-        return Status::InvalidArgument("unknown summarize argument '" + arg +
-                                       "'");
+        return Status::InvalidArgument("unknown summarize argument '" +
+                                       std::string(arg) + "'");
       }
     }
     if (cmd.query.scenario.empty() || !have_k) {
@@ -439,26 +495,28 @@ Result<ServerCommand> ParseCommandLine(const std::string& line) {
     return cmd;
   }
   if (verb != "query") {
-    return Status::InvalidArgument("unknown command '" + verb +
+    return Status::InvalidArgument("unknown command '" + std::string(verb) +
                                    "' (expected query|summarize|update|"
                                    "register|generate|unregister|metrics|"
                                    "scenarios|quit)");
   }
   cmd.kind = ServerCommand::Kind::kQuery;
-  in >> cmd.query.scenario >> cmd.query.exposure >> cmd.query.outcome;
+  cmd.query.scenario = tokens.Next();
+  cmd.query.exposure = tokens.Next();
+  cmd.query.outcome = tokens.Next();
   if (cmd.query.scenario.empty() || cmd.query.exposure.empty() ||
       cmd.query.outcome.empty()) {
     return Status::InvalidArgument(
         "usage: query <scenario> <exposure> <outcome> [timeout=<seconds>] "
         "[mode=planned|full]");
   }
-  std::string extra;
-  while (in >> extra) {
+  for (std::string_view extra = tokens.Next(); !extra.empty();
+       extra = tokens.Next()) {
     if (extra.rfind("timeout=", 0) == 0) {
       CDI_ASSIGN_OR_RETURN(cmd.query.timeout_seconds,
                            ParseTimeout(extra.substr(8)));
     } else if (extra.rfind("mode=", 0) == 0) {
-      const std::string value = extra.substr(5);
+      const std::string value(extra.substr(5));
       if (value == "planned") {
         cmd.query.mode = QueryMode::kPlanned;
       } else if (value == "full") {
@@ -468,8 +526,8 @@ Result<ServerCommand> ParseCommandLine(const std::string& line) {
             "bad mode value '" + value + "' (expected planned|full)");
       }
     } else {
-      return Status::InvalidArgument("unknown query argument '" + extra +
-                                     "'");
+      return Status::InvalidArgument("unknown query argument '" +
+                                     std::string(extra) + "'");
     }
   }
   return cmd;

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -69,12 +70,20 @@ std::string FormatSummaryPayload(const SummaryArtifact& artifact,
 ///   `ok scenario=S T=... O=... mode=planned source=hit <payload> ...`
 ///   `ok scenario=S mode=summarize k=6 format=dot source=hit <payload> ...`
 ///   `error scenario=S T=... O=... code=DeadlineExceeded message="..."`
-/// Never contains embedded newlines. Planned responses (response.planned
-/// set) carry the pair-answer payload; summarize responses
-/// (response.summary set) the summary payload; full responses the
-/// pipeline one.
+/// Never contains embedded newlines. An OK line joins the header, the
+/// payload the answer was rendered with when its cache entry completed
+/// (response.rendering; a summary's `query.summarize_format` picks its
+/// DOT or JSON payload) and the latency — nothing is re-rendered per
+/// response. An OK response without a rendering is a server bug and
+/// aborts.
 std::string FormatResponseLine(const CdiQuery& query,
                                const QueryResponse& response);
+
+/// The payload of an OK response line (the bytes between `source=<x> `
+/// and ` latency_us=`); empty for error lines and malformed input. The
+/// load generator and tests compare it byte-for-byte against a fresh
+/// Format*Payload of a direct computation.
+std::string_view ResponseLinePayload(std::string_view line);
 
 /// One parsed cdi_serve stdin command.
 struct ServerCommand {

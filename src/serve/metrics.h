@@ -70,6 +70,9 @@ struct MetricsSnapshot {
   /// Completed summarize-mode entries currently in the result cache
   /// (gauge, as above; a subset of result_cache_entries).
   std::uint64_t summary_cache_entries = 0;
+  /// Rendered payload bytes held by the completed result-cache entries
+  /// (gauge, as above; a summary entry counts its DOT and JSON payloads).
+  std::uint64_t result_payload_bytes = 0;
   /// Live registry byte charge and scenario count (gauges, as above).
   std::uint64_t registry_bytes = 0;
   std::uint64_t registry_scenarios = 0;

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/hash.h"
+#include "serve/line_protocol.h"
 
 namespace cdi::serve {
 
@@ -141,6 +142,7 @@ QueryResponse QueryServer::MakeResponse(Result<CachedAnswer> outcome,
     response.result = std::move(answer.result);
     response.planned = std::move(answer.planned);
     response.summary = std::move(answer.summary);
+    response.rendering = std::move(answer.rendering);
     response.source = source;
   } else {
     response.status = outcome.status();
@@ -430,6 +432,8 @@ Result<QueryServer::CachedAnswer> QueryServer::Compute(const Request& request,
                                      token));
     answer.result =
         std::make_shared<const core::PipelineResult>(std::move(run));
+    answer.rendering = std::make_shared<const RenderedAnswer>(
+        RenderedAnswer{FormatResultPayload(*answer.result), {}});
     return answer;
   }
 
@@ -442,11 +446,13 @@ Result<QueryServer::CachedAnswer> QueryServer::Compute(const Request& request,
     CDI_ASSIGN_OR_RETURN(core::PairAnswer pair,
                          plan->AnswerPair(query.exposure, query.outcome));
     answer.planned = std::make_shared<const core::PairAnswer>(std::move(pair));
+    answer.rendering = std::make_shared<const RenderedAnswer>(
+        RenderedAnswer{FormatPairAnswerPayload(*answer.planned), {}});
     return answer;
   }
 
-  // Summarize: the greedy merge pass runs to the requested budget and both
-  // renderings are built once.
+  // Summarize: the greedy merge pass runs to the requested budget, and
+  // both renderings and both payloads are built once.
   const Clock::time_point build_start = Clock::now();
   summarize::SummarizeOptions sopts;
   sopts.budget = query.summarize_k;
@@ -458,6 +464,9 @@ Result<QueryServer::CachedAnswer> QueryServer::Compute(const Request& request,
       std::make_shared<const summarize::SummaryDag>(std::move(built));
   artifact->dot = artifact->summary->ToDot();
   artifact->json = artifact->summary->ToJson();
+  answer.rendering = std::make_shared<const RenderedAnswer>(
+      RenderedAnswer{FormatSummaryPayload(*artifact, "dot"),
+                     FormatSummaryPayload(*artifact, "json")});
   answer.summary = std::move(artifact);
   metrics_.summary_builds.fetch_add(1, std::memory_order_relaxed);
   metrics_.summary_latency.Record(
@@ -559,8 +568,15 @@ MetricsSnapshot QueryServer::Metrics() const {
     std::lock_guard<std::mutex> lock(mu_);
     snap.result_cache_entries = results_.size();
     snap.plan_cache_entries = plans_.size();
-    snap.summary_cache_entries = results_.CountDone(
-        [](const CachedAnswer& answer) { return answer.summary != nullptr; });
+    snap.summary_cache_entries =
+        results_.SumDone([](const CachedAnswer& answer) -> std::uint64_t {
+          return answer.summary != nullptr ? 1 : 0;
+        });
+    snap.result_payload_bytes =
+        results_.SumDone([](const CachedAnswer& answer) -> std::uint64_t {
+          return answer.rendering->payload.size() +
+                 answer.rendering->json_payload.size();
+        });
   }
   const RegistryStats registry = registry_->Stats();
   snap.scenarios_registered = registry.scenarios_registered;

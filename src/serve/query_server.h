@@ -48,12 +48,26 @@ enum class QueryMode {
 
 /// A served summary: the SummaryDag plus both renderings, built once per
 /// (scenario, epoch, k, options) and shared by every cache hit. The
-/// format choice only selects which pre-rendered string a response line
-/// prints — it is deliberately *not* part of the cache key.
+/// format choice only selects which of the entry's two rendered payloads
+/// (RenderedAnswer) a response line prints — it is deliberately *not*
+/// part of the cache key.
 struct SummaryArtifact {
   std::shared_ptr<const summarize::SummaryDag> summary;
   std::string dot;
   std::string json;
+};
+
+/// The response-line payload of one answer: the bytes between
+/// `source=<x> ` and ` latency_us=`, fingerprint included. Rendered once,
+/// when the answer's result-tier entry completes, and shared immutable by
+/// every executed, coalesced and hit response that serves the answer.
+struct RenderedAnswer {
+  /// The full or planned payload, or a summary's `format=dot` payload.
+  std::string payload;
+  /// A summary's `format=json` payload; empty for full and planned
+  /// answers. Both summary payloads are kept because the format is
+  /// presentation only and stays out of the cache key.
+  std::string json_payload;
 };
 
 /// One causal query against a registered scenario: "what is the effect of
@@ -103,6 +117,9 @@ struct QueryResponse {
   std::shared_ptr<const core::PairAnswer> planned;
   /// Shared summary artifact (QueryMode::kSummarize); null otherwise.
   std::shared_ptr<const SummaryArtifact> summary;
+  /// The answer's rendered payload, shared like the answer itself; set on
+  /// every OK response and null on error.
+  std::shared_ptr<const RenderedAnswer> rendering;
   ResponseSource source = ResponseSource::kError;
   /// Single-flight cache key: hash of (scenario epoch, T, O, options
   /// fingerprint). 0 when the request failed before key computation.
@@ -219,8 +236,9 @@ class QueryServer {
   Status UnregisterScenario(const std::string& name);
 
   /// Counters plus current cache-size gauges (result_cache_entries /
-  /// plan_cache_entries, read under the server lock) and the registry's
-  /// registration/eviction counters and byte gauges.
+  /// plan_cache_entries / result_payload_bytes, read under the server
+  /// lock) and the registry's registration/eviction counters and byte
+  /// gauges.
   MetricsSnapshot Metrics() const;
 
   /// Drops completed result-cache entries (pending single-flight claims
@@ -244,11 +262,13 @@ class QueryServer {
     Clock::time_point submit_time;
   };
 
-  /// A result-tier value; the pointer matching the query mode is set.
+  /// A result-tier value: the pointer matching the query mode, plus the
+  /// answer's payload rendered when the entry completed.
   struct CachedAnswer {
     std::shared_ptr<const core::PipelineResult> result;
     std::shared_ptr<const core::PairAnswer> planned;
     std::shared_ptr<const SummaryArtifact> summary;
+    std::shared_ptr<const RenderedAnswer> rendering;
   };
 
   using PlanResult = Result<std::shared_ptr<const core::CdagPlan>>;

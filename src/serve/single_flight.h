@@ -122,13 +122,14 @@ class SingleFlightCache {
   /// Entries held, pending claims included.
   std::size_t size() const { return entries_.size(); }
 
-  template <typename Pred>
-  std::size_t CountDone(Pred pred) const {
-    std::size_t n = 0;
+  /// Sum of `weigh(value)` over the done entries.
+  template <typename Weigh>
+  std::uint64_t SumDone(Weigh weigh) const {
+    std::uint64_t sum = 0;
     for (const auto& [key, entry] : entries_) {
-      if (entry.done && pred(entry.value)) ++n;
+      if (entry.done) sum += weigh(entry.value);
     }
-    return n;
+    return sum;
   }
 
  private:

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -1573,6 +1574,102 @@ TEST(LineProtocolTest, FormatResponseLineIsSingleLine) {
       << error_line;
 }
 
+/// An OK line carries the payload rendered when its cache entry
+/// completed. For full, planned and summarize answers, served executed,
+/// coalesced and as hits, that payload must byte-equal a fresh
+/// Format*Payload of a direct computation; a coalesced summary follower
+/// gets the format it asked for, not its leader's; and the leader, its
+/// followers and later hits share one rendering.
+TEST(LineProtocolTest, ServedPayloadEqualsFreshRenderingForEverySource) {
+  ScenarioRegistry registry;
+  auto bundle = *registry.Register("covid", BuildCovid());
+  const auto& attrs = bundle->numeric_attributes;
+  const datagen::Scenario& sc = *bundle->scenario;
+  const core::CdagPlan plan = FreshPlan(*bundle);
+  const auto& cdag = plan.artifact().build.cdag;
+
+  core::Pipeline pipeline(&sc.kg, &sc.lake, sc.oracle.get(), &sc.topics,
+                          bundle->default_options);
+  auto run = pipeline.Run(*bundle->input, sc.spec.entity_column, attrs[0],
+                          attrs[1]);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  auto pair = plan.AnswerPair(attrs[0], attrs[1]);
+  ASSERT_TRUE(pair.ok()) << pair.status().ToString();
+  const std::size_t k = cdag.num_clusters() - 1;
+  summarize::SummarizeOptions sopts;
+  sopts.budget = k;
+  auto summary = summarize::SummarizeClusterDag(cdag, sopts);
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  SummaryArtifact artifact;
+  artifact.dot = summary->ToDot();
+  artifact.json = summary->ToJson();
+  artifact.summary =
+      std::make_shared<const summarize::SummaryDag>(*std::move(summary));
+
+  CdiQuery planned = Query(attrs[0], attrs[1]);
+  planned.mode = QueryMode::kPlanned;
+  struct Case {
+    CdiQuery query;
+    std::string expected;
+  };
+  // The JSON summary shares the DOT summary's cache entry and leader.
+  const std::vector<Case> cases = {
+      {Query(attrs[0], attrs[1]), FormatResultPayload(*run)},
+      {planned, FormatPairAnswerPayload(*pair)},
+      {SummarizeQuery(k, "dot"), FormatSummaryPayload(artifact, "dot")},
+      {SummarizeQuery(k, "json"), FormatSummaryPayload(artifact, "json")}};
+  constexpr std::size_t kLeaders = 3;
+  const auto leader_of = [](std::size_t i) {
+    return std::min(i, kLeaders - 1);
+  };
+
+  Gate gate;
+  QueryServerOptions options;
+  options.num_workers = 4;
+  options.pre_execute_hook = [&gate] { gate.Arrive(); };
+  QueryServer server(&registry, options);
+
+  std::vector<std::future<QueryResponse>> leaders;
+  for (std::size_t i = 0; i < kLeaders; ++i) {
+    leaders.push_back(server.Submit(cases[i].query));
+  }
+  gate.WaitForArrivals(static_cast<int>(kLeaders));
+  std::vector<std::future<QueryResponse>> followers;
+  for (const Case& c : cases) followers.push_back(server.Submit(c.query));
+  gate.Open();
+
+  std::vector<QueryResponse> led;
+  for (auto& f : leaders) led.push_back(f.get());
+  const auto check = [](const Case& c, const QueryResponse& response,
+                        ResponseSource source,
+                        const RenderedAnswer* rendering) {
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+    EXPECT_EQ(response.source, source);
+    EXPECT_EQ(response.rendering.get(), rendering);
+    EXPECT_EQ(ResponseLinePayload(FormatResponseLine(c.query, response)),
+              c.expected)
+        << ResponseSourceName(source) << " " << c.query.summarize_format;
+  };
+  std::uint64_t payload_bytes = 0;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE("case " + std::to_string(i));
+    const RenderedAnswer* shared = led[leader_of(i)].rendering.get();
+    ASSERT_NE(shared, nullptr);
+    if (i < kLeaders) {
+      check(cases[i], led[i], ResponseSource::kExecuted, shared);
+    }
+    check(cases[i], followers[i].get(), ResponseSource::kCoalesced, shared);
+    check(cases[i], server.Execute(cases[i].query), ResponseSource::kCacheHit,
+          shared);
+    payload_bytes += cases[i].expected.size();
+  }
+  // Three entries: full, planned, and the summary's DOT + JSON payloads.
+  const auto metrics = server.Metrics();
+  EXPECT_EQ(metrics.result_cache_entries, kLeaders);
+  EXPECT_EQ(metrics.result_payload_bytes, payload_bytes);
+  server.Shutdown();
+}
+
 // ---------------------------------------------------------------Metrics
 
 TEST(MetricsTest, SnapshotSinceSubtractsCounters) {
@@ -2095,8 +2192,22 @@ TEST(MetricsTest, RegistryGaugesFlowThroughServerMetricsAndToLine) {
   QueryServer server(&registry);
   const std::string cell = "grid_c4_lin_cont_m0_p1_o0";
   ASSERT_TRUE(server.RegisterScenario(cell, GridBuilder(cell)).ok());
+  const auto registered = server.Metrics();
+  EXPECT_EQ(registered.result_payload_bytes, 0u);
+  const datagen::Scenario& sc = *(*registry.Snapshot(cell))->scenario;
+  CdiQuery q;
+  q.scenario = cell;
+  q.exposure = sc.exposure_attribute;
+  q.outcome = sc.outcome_attribute;
+  q.mode = QueryMode::kPlanned;
+  const auto answer = server.Execute(q);
+  ASSERT_TRUE(answer.status.ok()) << answer.status.ToString();
 
   const auto metrics = server.Metrics();
+  EXPECT_EQ(metrics.result_payload_bytes, answer.rendering->payload.size());
+  // A gauge: Since() copies it from the later snapshot.
+  EXPECT_EQ(metrics.Since(metrics).result_payload_bytes,
+            metrics.result_payload_bytes);
   EXPECT_EQ(metrics.scenarios_registered, 1u);
   EXPECT_EQ(metrics.registry_scenarios, 1u);
   EXPECT_GT(metrics.registry_bytes, 0u);
@@ -2108,9 +2219,14 @@ TEST(MetricsTest, RegistryGaugesFlowThroughServerMetricsAndToLine) {
   EXPECT_NE(line.find("registry_bytes="), std::string::npos) << line;
   EXPECT_NE(line.find("shard0_bytes="), std::string::npos) << line;
   EXPECT_NE(line.find("shard1_bytes="), std::string::npos) << line;
+  EXPECT_NE(line.find(" result_payload_bytes=" +
+                      std::to_string(metrics.result_payload_bytes) + " "),
+            std::string::npos)
+      << line;
 
   ASSERT_TRUE(server.UnregisterScenario(cell).ok());
   const auto after = server.Metrics();
+  EXPECT_EQ(after.result_payload_bytes, 0u);
   EXPECT_EQ(after.scenarios_unregistered, 1u);
   EXPECT_EQ(after.registry_scenarios, 0u);
   EXPECT_EQ(after.registry_bytes, 0u);
@@ -2179,6 +2295,76 @@ TEST(LineProtocolTest, ParsesRegisterGenerateAndUnregister) {
   EXPECT_EQ(unreg->target, "mysc");
   EXPECT_EQ(ParseCommandLine("unregister a b").status().code(),
             StatusCode::kInvalidArgument);
+}
+
+/// Every field a parsed command carries, as one comparable string.
+std::string DescribeCommand(const ServerCommand& c) {
+  std::string out = std::to_string(static_cast<int>(c.kind));
+  for (const std::string* field :
+       {&c.query.scenario, &c.query.exposure, &c.query.outcome,
+        &c.query.summarize_format, &c.update_scenario, &c.update_rows_path,
+        &c.target, &c.register_input, &c.register_entity,
+        &c.register_knowledge, &c.register_exposure, &c.register_outcome,
+        &c.grid_cell}) {
+    out += "|" + *field;
+  }
+  for (const auto* list : {&c.register_kg, &c.register_lake}) {
+    out += "|";
+    for (const auto& item : *list) out += item + ",";
+  }
+  out += "|" + std::to_string(static_cast<int>(c.query.mode)) + "|" +
+         std::to_string(c.query.summarize_k) + "|" +
+         std::to_string(c.query.timeout_seconds) + "|" +
+         std::to_string(c.replace) + "|" +
+         std::to_string(c.generate_entities) + "|" +
+         std::to_string(c.generate_seed);
+  return out;
+}
+
+TEST(LineProtocolTest, AnyWhitespaceRunSeparatesTokens) {
+  // Each pair: a single-space line and the same tokens separated by tab,
+  // CR, VT, FF and repeated spaces (the std::isspace set Trim strips).
+  const std::vector<std::pair<std::string, std::string>> lines = {
+      {"query covid a b timeout=0.25 mode=planned",
+       "\t query\t\tcovid \r a\vb\f\ftimeout=0.25  \t mode=planned \r"},
+      {"query covid a b", "query\fcovid\va\rb"},
+      {"summarize covid k=4 format=json timeout=2",
+       "summarize\tcovid\vk=4\f format=json\r\rtimeout=2"},
+      {"update covid rows=/tmp/b.csv", "  update\r\ncovid\t rows=/tmp/b.csv\v"},
+      {"register s input=i.csv entity=id kg=k.csv lake=l.csv lake=m.csv "
+       "knowledge=d.txt exposure=x outcome=y replace",
+       "register\ts\vinput=i.csv\fentity=id\rkg=k.csv  lake=l.csv\t\t"
+       "lake=m.csv \v knowledge=d.txt\fexposure=x\routcome=y\t \treplace"},
+      {"generate g grid=c4 entities=50 seed=7",
+       "generate \t g \v grid=c4 \f entities=50 \r seed=7"},
+      {"unregister s", "\funregister\v\vs\t"},
+      {"metrics", "\t metrics \r"},
+      {"scenarios", "\vscenarios\f"},
+      {"quit", "\rquit\t"},
+  };
+  for (const auto& [plain, spaced] : lines) {
+    const auto a = ParseCommandLine(plain);
+    const auto b = ParseCommandLine(spaced);
+    ASSERT_TRUE(a.ok()) << plain << ": " << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << plain << ": " << b.status().ToString();
+    EXPECT_EQ(DescribeCommand(*a), DescribeCommand(*b)) << plain;
+  }
+  // Rejections and silent skips match too.
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"unregister a b", "unregister\ta\vb"},
+      {"query covid a", "query\rcovid\fa\t"},
+      {"summarize covid k=1", "summarize\t\tcovid\fk=1"},
+      {"frobnicate x", "\vfrobnicate\fx"},
+      {"", " \t\r\v\f "},
+      {"# comment", "\t# comment\f"},
+  };
+  for (const auto& [plain, spaced] : bad) {
+    const auto a = ParseCommandLine(plain);
+    const auto b = ParseCommandLine(spaced);
+    EXPECT_FALSE(a.ok()) << plain;
+    EXPECT_FALSE(b.ok()) << plain;
+    EXPECT_EQ(a.status().ToString(), b.status().ToString()) << plain;
+  }
 }
 
 }  // namespace

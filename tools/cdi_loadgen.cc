@@ -15,12 +15,13 @@
 // mix, then runs C closed-loop client threads issuing R requests each
 // (submit -> wait -> next), replaying the mix under a seeded schedule.
 //
-// Verification (default on): every served response's payload line —
-// effects at full %.17g precision plus a 64-bit fingerprint over the
-// entire result — is compared byte-for-byte against a direct
-// Pipeline::Run of the same query computed before the server starts. Any
-// mismatch is a "torn response" and fails the run; so does a warm-phase
-// cache hit rate below --min-hit-rate (default 0.9). Exit code 0 = clean.
+// Verification (default on): the payload of every served response line
+// (FormatResponseLine, the bytes a client receives) — effects at full
+// %.17g precision plus a 64-bit fingerprint over the entire result — is
+// compared byte-for-byte against a direct Pipeline::Run of the same
+// query computed before the server starts. Any mismatch is a "torn
+// response" and fails the run; so does a warm-phase cache hit rate below
+// --min-hit-rate (default 0.9). Exit code 0 = clean.
 //
 // --sweep switches to the planner acceptance mode: the mix becomes EVERY
 // ordered (exposure, outcome) pair of the scenario's numeric attributes,
@@ -223,24 +224,20 @@ bool ParseArgs(int argc, char** argv, Args* args) {
   return args->clients > 0 && args->requests > 0;
 }
 
-/// The byte-comparable form of a served response: the payload line for OK
-/// answers, "error code=<code>" otherwise. `summary_format` selects the
-/// rendering embedded in summary payloads (the fingerprint covers both
+/// The byte-comparable form of a served response: the payload cut out
+/// of the response line a client would receive for OK answers, "error
+/// code=<code>" otherwise. A summary line carries the rendering
+/// `query.summarize_format` selects (the fingerprint covers both
 /// renderings either way, so a single format still proves byte equality
 /// of DOT and JSON).
-std::string ServedLine(const cdi::serve::QueryResponse& response,
-                       const std::string& summary_format = "dot") {
+std::string ServedLine(const cdi::serve::CdiQuery& query,
+                       const cdi::serve::QueryResponse& response) {
   if (!response.status.ok()) {
     return std::string("error code=") +
            cdi::StatusCodeName(response.status.code());
   }
-  if (response.summary != nullptr) {
-    return cdi::serve::FormatSummaryPayload(*response.summary,
-                                            summary_format);
-  }
-  return response.planned != nullptr
-             ? cdi::serve::FormatPairAnswerPayload(*response.planned)
-             : cdi::serve::FormatResultPayload(*response.result);
+  return std::string(cdi::serve::ResponseLinePayload(
+      cdi::serve::FormatResponseLine(query, response)));
 }
 
 /// A summarize-mode mix entry: budget k against `scenario`, formats
@@ -400,7 +397,7 @@ int RunGridMode(const Args& args) {
           if (args.verify) {
             // A served error that byte-matches the direct run's error is a
             // verified answer; any payload/error mismatch is torn.
-            if (ServedLine(response) != expected[pick]) {
+            if (ServedLine(mix[pick], response) != expected[pick]) {
               torn.fetch_add(1, std::memory_order_relaxed);
             }
           } else if (!response.status.ok()) {
@@ -742,7 +739,7 @@ int main(int argc, char** argv) {
       const auto response = server.Execute(mix[i]);
       if (!response.status.ok() &&
           !((args.sweep || args.summarize_mix) && args.verify &&
-            ServedLine(response, mix[i].summarize_format) == expected[i])) {
+            ServedLine(mix[i], response) == expected[i])) {
         std::fprintf(stderr, "warmup %s->%s: %s\n", mix[i].exposure.c_str(),
                      mix[i].outcome.c_str(),
                      response.status.ToString().c_str());
@@ -797,8 +794,7 @@ int main(int argc, char** argv) {
           // Expected planner/summarizer rejections verify like any other
           // response.
           if (args.verify && !churn &&
-              ServedLine(response, mix[pick].summarize_format) ==
-                  expected[pick]) {
+              ServedLine(mix[pick], response) == expected[pick]) {
             completed.fetch_add(1, std::memory_order_relaxed);
             continue;
           }
@@ -820,8 +816,7 @@ int main(int argc, char** argv) {
           } else {
             want = &expected[pick];
           }
-          if (want == nullptr ||
-              ServedLine(response, mix[pick].summarize_format) != *want) {
+          if (want == nullptr || ServedLine(mix[pick], response) != *want) {
             torn.fetch_add(1, std::memory_order_relaxed);
           }
         }

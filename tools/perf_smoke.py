@@ -4,8 +4,9 @@
 Runs the bench_micro kernel benchmarks (blocked covariance, reference
 kernel, row append, knowledge extraction) plus the query-serving
 paths (cache hit, cache miss, single-flight coalescing, planned-query
-steady state, C-DAG artifact build, summarization build and
-cached-summary hit) with a short
+steady state, C-DAG artifact build, summarization build,
+cached-summary hit, and the hit plus its response line per mode) with a
+short
 --benchmark_min_time, then compares per-benchmark cpu_time against the
 checked-in baseline
 (BENCH_PR10.json at the repo root). Exits non-zero when the benchmark
@@ -34,7 +35,7 @@ BENCH_FILTER = (
     "BM_CdagArtifactBuild|BM_UpdateScenario|"
     "BM_RegisterScenario|BM_RegistryLookupSharded|BM_EvictionChurn|"
     "BM_GramSimd|BM_PartialCorrBatched|BM_PcSkeletonBatched|"
-    "BM_SummarizeDag|BM_ServeSummaryHit|BM_KnowledgeExtract"
+    "BM_SummarizeDag|BM_ServeSummaryHit|BM_ServeHitLine|BM_KnowledgeExtract"
 )
 
 TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
