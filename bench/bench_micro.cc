@@ -711,7 +711,7 @@ const cdi::serve::CdiQuery& DeepestSummaryQuery() {
 }
 
 /// Warm summary-cache hit: admission + per-(scenario, epoch, budget)
-/// summary-cache lookup + shared-artifact response, no merge pass. The
+/// summary-cache lookup + shared-rendering response, no merge pass. The
 /// interactive-latency target for a cached summary rides on this path;
 /// ->Threads(8) measures contention against readers of the same entry.
 void BM_ServeSummaryHit(benchmark::State& state) {
@@ -719,7 +719,7 @@ void BM_ServeSummaryHit(benchmark::State& state) {
   const cdi::serve::CdiQuery& query = DeepestSummaryQuery();
   for (auto _ : state) {
     auto response = f.server.Execute(query);
-    benchmark::DoNotOptimize(response.summary != nullptr);
+    benchmark::DoNotOptimize(response.rendering != nullptr);
   }
 }
 BENCHMARK(BM_ServeSummaryHit)->UseRealTime()->Threads(1)->Threads(8);

@@ -26,9 +26,10 @@ struct ScenarioFileInputs {
   /// Domain-knowledge file (knowledge::LoadDomainKnowledge) feeding the
   /// causal oracle's concept graph, aliases, and the topic lexicon.
   std::string knowledge_file;
-  /// Optional canonical exposure/outcome attributes. When set, planned
-  /// (C-DAG artifact) queries work against the scenario; when empty,
-  /// only full-mode pair queries do.
+  /// Optional canonical exposure/outcome attributes, both or neither;
+  /// registration checks them (ScenarioBundle::CheckPair). When set,
+  /// planned and summarize (C-DAG plan) queries work against the
+  /// scenario; when empty, only full-mode pair queries do.
   std::string exposure;
   std::string outcome;
 };

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string_view>
 #include <vector>
 
@@ -198,8 +199,13 @@ std::string FormatSummaryPayload(const SummaryArtifact& artifact,
       summary.original_edges(), summary.CompressionRatio(),
       summary.pairs_scored(), summary.pairs_changed(),
       static_cast<unsigned long long>(SummaryFingerprint(artifact)));
-  std::string out = buf;
-  out += EscapePayload(format == "json" ? artifact.json : artifact.dot);
+  // Sized exactly: a result-tier entry keeps this string for its life.
+  const std::string escaped =
+      EscapePayload(format == "json" ? artifact.json : artifact.dot);
+  std::string out;
+  out.reserve(std::strlen(buf) + escaped.size() + 1);
+  out += buf;
+  out += escaped;
   out.push_back('"');
   return out;
 }
@@ -326,7 +332,7 @@ std::string FormatResponseLine(const CdiQuery& query,
                payload.size());
   line += "ok ";
   AppendQueryFields(&line, query);
-  if (response.planned != nullptr) line += " mode=planned";
+  if (query.mode == QueryMode::kPlanned) line += " mode=planned";
   line += " source=";
   line += ResponseSourceName(response.source);
   line += ' ';

@@ -67,6 +67,16 @@ QueryServer::~QueryServer() { Shutdown(); }
 
 Status QueryServer::ValidateQuery(const ScenarioBundle& bundle,
                                   const CdiQuery& query) const {
+  // Planned and summarize answers come off the plan of the scenario's
+  // canonical pair; registration admits both halves of it or neither.
+  if (query.mode != QueryMode::kFull &&
+      bundle.scenario->exposure_attribute.empty()) {
+    return Status::InvalidArgument(
+        "scenario '" + bundle.name +
+        "' has no canonical exposure/outcome pair, which " +
+        (query.mode == QueryMode::kPlanned ? "planned" : "summarize") +
+        " queries need (register it with exposure= and outcome=)");
+  }
   if (query.mode == QueryMode::kSummarize) {
     // Summaries are per-scenario, not per-pair: the exposure/outcome
     // checks below do not apply. The budget floor is checked here (O(1),
@@ -84,65 +94,21 @@ Status QueryServer::ValidateQuery(const ScenarioBundle& bundle,
     }
     return Status::OK();
   }
-  // The entity column can never be an exposure or outcome — it is the
-  // join key, not a variable. Rejecting it here (O(1), before the queue)
-  // keeps such queries from occupying a slot and a worker only to fail
-  // inside Pipeline::Run's validation.
-  const std::string& entity = bundle.scenario->spec.entity_column;
-  const auto entity_check = [&](const char* role,
-                                const std::string& attr) -> Status {
-    if (attr == entity) {
-      return Status::InvalidArgument(
-          std::string(role) + " '" + attr + "' is the entity column of " +
-          "scenario '" + bundle.name + "', not a variable");
-    }
-    return Status::OK();
-  };
-  CDI_RETURN_IF_ERROR(entity_check("exposure", query.exposure));
-  CDI_RETURN_IF_ERROR(entity_check("outcome", query.outcome));
-  const auto check = [&bundle](const char* role,
-                               const std::string& attr) -> Status {
-    const std::size_t idx = bundle.NumericIndex(attr);
-    if (idx == ScenarioBundle::kNotNumeric) {
-      std::string msg = std::string(role) + " '" + attr +
-                        "' is not a numeric attribute of scenario '" +
-                        bundle.name + "' (available:";
-      for (const auto& a : bundle.numeric_attributes) msg += " " + a;
-      msg += ")";
-      return Status::InvalidArgument(std::move(msg));
-    }
-    // The shared per-dataset sufficient statistics make this check O(1):
-    // a zero diagonal entry of S means the column is constant over the
-    // complete rows, which no effect estimate can use.
-    if (bundle.input_stats != nullptr &&
-        bundle.input_stats->cross_products()(idx, idx) <= 0.0) {
-      return Status::InvalidArgument(
-          std::string(role) + " '" + attr + "' has no variance in scenario '" +
-          bundle.name + "'");
-    }
-    return Status::OK();
-  };
-  CDI_RETURN_IF_ERROR(check("exposure", query.exposure));
-  CDI_RETURN_IF_ERROR(check("outcome", query.outcome));
-  if (query.exposure == query.outcome) {
-    return Status::InvalidArgument(
-        "exposure and outcome must be distinct (both '" + query.exposure +
-        "')");
-  }
-  return Status::OK();
+  // O(1) on the bundle's shared statistics, before the queue: a pair
+  // that cannot be estimated never occupies a slot and a worker only to
+  // fail inside Pipeline::Run's validation.
+  return bundle.CheckPair(query.exposure, query.outcome,
+                          /*need_variance=*/true);
 }
 
-QueryResponse QueryServer::MakeResponse(Result<CachedAnswer> outcome,
+QueryResponse QueryServer::MakeResponse(Result<Answer> outcome,
                                         std::uint64_t key, std::uint64_t epoch,
                                         Clock::time_point submit_time,
                                         ResponseSource source) const {
   QueryResponse response;
   if (outcome.ok()) {
-    CachedAnswer& answer = *outcome;
-    response.result = std::move(answer.result);
-    response.planned = std::move(answer.planned);
-    response.summary = std::move(answer.summary);
-    response.rendering = std::move(answer.rendering);
+    response.rendering = std::move(outcome->rendering);
+    response.result = std::move(outcome->result);
     response.source = source;
   } else {
     response.status = outcome.status();
@@ -215,7 +181,7 @@ std::future<QueryResponse> QueryServer::Submit(CdiQuery query) {
     }
   }
 
-  CachedAnswer hit;
+  std::shared_ptr<const RenderedAnswer> hit;
   {
     std::unique_lock<std::mutex> lock(mu_);
     if (stopping_) {
@@ -229,7 +195,7 @@ std::future<QueryResponse> QueryServer::Submit(CdiQuery query) {
     // the superseded epochs — registry Replace + next touch bounds the
     // caches without a flush call.
     EvictStaleLocked(query.scenario, epoch);
-    const CachedAnswer* done = nullptr;
+    const std::shared_ptr<const RenderedAnswer>* done = nullptr;
     switch (results_.Find(key, &done)) {
       case FlightState::kDone:
         hit = *done;  // respond unlocked
@@ -264,8 +230,8 @@ std::future<QueryResponse> QueryServer::Submit(CdiQuery query) {
 
   // Completed-entry cache hit: serve without a worker.
   metrics_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-  Respond(&promise, MakeResponse(std::move(hit), key, epoch, submit_time,
-                                 ResponseSource::kCacheHit));
+  Respond(&promise, MakeResponse(Answer{std::move(hit), nullptr}, key, epoch,
+                                 submit_time, ResponseSource::kCacheHit));
   return future;
 }
 
@@ -392,9 +358,8 @@ void QueryServer::ExecuteRequest(Request request) {
   // The deadline covers queueing: a request that waited past it fails
   // here without burning pipeline work.
   Status admitted = token.Check();
-  const Result<CachedAnswer> answer =
-      admitted.ok() ? Compute(request, &token)
-                    : Result<CachedAnswer>(std::move(admitted));
+  Result<Answer> answer = admitted.ok() ? Compute(request, &token)
+                                        : Result<Answer>(std::move(admitted));
 
   std::vector<Waiter> followers;
   bool retained = true;
@@ -403,7 +368,9 @@ void QueryServer::ExecuteRequest(Request request) {
     active_tokens_.erase(
         std::remove(active_tokens_.begin(), active_tokens_.end(), &token),
         active_tokens_.end());
-    followers = answer.ok() ? results_.Complete(request.key, *answer, &retained)
+    // Only the rendering is retained.
+    followers = answer.ok() ? results_.Complete(request.key,
+                                                answer->rendering, &retained)
                             : results_.Abandon(request.key);
   }
   if (answer.ok()) metrics_.executions.fetch_add(1, std::memory_order_relaxed);
@@ -411,30 +378,35 @@ void QueryServer::ExecuteRequest(Request request) {
     metrics_.evicted_stale.fetch_add(1, std::memory_order_relaxed);
   }
 
+  // The last response takes the answer over, so once every response is
+  // out the server holds no reference to a full answer's PipelineResult:
+  // it lives exactly as long as the responses that carry it.
   const std::uint64_t epoch = request.bundle->epoch;
-  Respond(&request.client.promise,
-          MakeResponse(answer, request.key, epoch, request.client.submit_time,
-                       ResponseSource::kExecuted));
-  for (Waiter& w : followers) {
-    Respond(&w.promise, MakeResponse(answer, request.key, epoch, w.submit_time,
-                                     ResponseSource::kCoalesced));
+  const auto respond = [&](Waiter* waiter, ResponseSource source,
+                           bool last) {
+    Respond(&waiter->promise,
+            MakeResponse(last ? std::move(answer) : answer, request.key,
+                         epoch, waiter->submit_time, source));
+  };
+  respond(&request.client, ResponseSource::kExecuted, followers.empty());
+  for (std::size_t i = 0; i < followers.size(); ++i) {
+    respond(&followers[i], ResponseSource::kCoalesced,
+            i + 1 == followers.size());
   }
 }
 
-Result<QueryServer::CachedAnswer> QueryServer::Compute(const Request& request,
-                                                       CancelToken* token) {
+Result<QueryServer::Answer> QueryServer::Compute(const Request& request,
+                                                 CancelToken* token) {
   const CdiQuery& query = request.query;
-  CachedAnswer answer;
   if (query.mode == QueryMode::kFull) {
     if (options_.pre_execute_hook) options_.pre_execute_hook();
     CDI_ASSIGN_OR_RETURN(core::PipelineResult run,
                          RunPipeline(request, query.exposure, query.outcome,
                                      token));
-    answer.result =
-        std::make_shared<const core::PipelineResult>(std::move(run));
-    answer.rendering = std::make_shared<const RenderedAnswer>(
-        RenderedAnswer{FormatResultPayload(*answer.result), {}});
-    return answer;
+    auto result = std::make_shared<const core::PipelineResult>(std::move(run));
+    return Answer{std::make_shared<const RenderedAnswer>(
+                      RenderedAnswer{FormatResultPayload(*result), {}}),
+                  std::move(result)};
   }
 
   // Planned and summarize requests share the scenario's C-DAG plan;
@@ -445,33 +417,31 @@ Result<QueryServer::CachedAnswer> QueryServer::Compute(const Request& request,
     // Identification + linear algebra on the shared statistics.
     CDI_ASSIGN_OR_RETURN(core::PairAnswer pair,
                          plan->AnswerPair(query.exposure, query.outcome));
-    answer.planned = std::make_shared<const core::PairAnswer>(std::move(pair));
-    answer.rendering = std::make_shared<const RenderedAnswer>(
-        RenderedAnswer{FormatPairAnswerPayload(*answer.planned), {}});
-    return answer;
+    return Answer{std::make_shared<const RenderedAnswer>(
+                      RenderedAnswer{FormatPairAnswerPayload(pair), {}}),
+                  nullptr};
   }
 
   // Summarize: the greedy merge pass runs to the requested budget, and
-  // both renderings and both payloads are built once.
+  // both payloads are rendered once; the artifact is dropped after.
   const Clock::time_point build_start = Clock::now();
   summarize::SummarizeOptions sopts;
   sopts.budget = query.summarize_k;
   CDI_ASSIGN_OR_RETURN(
       summarize::SummaryDag built,
       summarize::SummarizeClusterDag(plan->artifact().build.cdag, sopts));
-  auto artifact = std::make_shared<SummaryArtifact>();
-  artifact->summary =
+  SummaryArtifact artifact;
+  artifact.dot = built.ToDot();
+  artifact.json = built.ToJson();
+  artifact.summary =
       std::make_shared<const summarize::SummaryDag>(std::move(built));
-  artifact->dot = artifact->summary->ToDot();
-  artifact->json = artifact->summary->ToJson();
-  answer.rendering = std::make_shared<const RenderedAnswer>(
-      RenderedAnswer{FormatSummaryPayload(*artifact, "dot"),
-                     FormatSummaryPayload(*artifact, "json")});
-  answer.summary = std::move(artifact);
+  auto rendering = std::make_shared<const RenderedAnswer>(
+      RenderedAnswer{FormatSummaryPayload(artifact, "dot"),
+                     FormatSummaryPayload(artifact, "json")});
   metrics_.summary_builds.fetch_add(1, std::memory_order_relaxed);
   metrics_.summary_latency.Record(
       std::chrono::duration<double>(Clock::now() - build_start).count());
-  return answer;
+  return Answer{std::move(rendering), nullptr};
 }
 
 Result<core::PipelineResult> QueryServer::RunPipeline(
@@ -568,14 +538,16 @@ MetricsSnapshot QueryServer::Metrics() const {
     std::lock_guard<std::mutex> lock(mu_);
     snap.result_cache_entries = results_.size();
     snap.plan_cache_entries = plans_.size();
-    snap.summary_cache_entries =
-        results_.SumDone([](const CachedAnswer& answer) -> std::uint64_t {
-          return answer.summary != nullptr ? 1 : 0;
+    // Only summaries render a JSON payload.
+    snap.summary_cache_entries = results_.SumDone(
+        [](const std::shared_ptr<const RenderedAnswer>& rendering)
+            -> std::uint64_t {
+          return rendering->json_payload.empty() ? 0 : 1;
         });
-    snap.result_payload_bytes =
-        results_.SumDone([](const CachedAnswer& answer) -> std::uint64_t {
-          return answer.rendering->payload.size() +
-                 answer.rendering->json_payload.size();
+    snap.result_payload_bytes = results_.SumDone(
+        [](const std::shared_ptr<const RenderedAnswer>& rendering)
+            -> std::uint64_t {
+          return rendering->payload.size() + rendering->json_payload.size();
         });
   }
   const RegistryStats registry = registry_->Stats();

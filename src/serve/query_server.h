@@ -40,17 +40,16 @@ enum class QueryMode {
   kPlanned,
   /// Summarize the scenario's C-DAG to a node budget (CaGreS-style
   /// greedy merge): the scenario's cached plan artifact supplies the
-  /// C-DAG, the summary is rendered to DOT *and* JSON once, and the
-  /// rendered artifact is cached per (scenario, epoch, k, options)
-  /// under the same single-flight + epoch-eviction contract as results.
+  /// C-DAG, the summary is rendered to DOT *and* JSON payloads once, and
+  /// the payloads are cached per (scenario, epoch, k, options) under the
+  /// same single-flight + epoch-eviction contract as results.
   kSummarize,
 };
 
-/// A served summary: the SummaryDag plus both renderings, built once per
-/// (scenario, epoch, k, options) and shared by every cache hit. The
-/// format choice only selects which of the entry's two rendered payloads
-/// (RenderedAnswer) a response line prints — it is deliberately *not*
-/// part of the cache key.
+/// A summary with both of its renderings: the input of SummaryFingerprint
+/// and FormatSummaryPayload. The server builds one per summarize miss,
+/// renders both payloads (RenderedAnswer) from it and drops it; only the
+/// payloads are cached, so the format stays out of the cache key.
 struct SummaryArtifact {
   std::shared_ptr<const summarize::SummaryDag> summary;
   std::string dot;
@@ -59,8 +58,9 @@ struct SummaryArtifact {
 
 /// The response-line payload of one answer: the bytes between
 /// `source=<x> ` and ` latency_us=`, fingerprint included. Rendered once,
-/// when the answer's result-tier entry completes, and shared immutable by
-/// every executed, coalesced and hit response that serves the answer.
+/// when the answer is computed, and shared immutable by every executed,
+/// coalesced and hit response that serves the answer. It is all a
+/// result-tier entry keeps.
 struct RenderedAnswer {
   /// The full or planned payload, or a summary's `format=dot` payload.
   std::string payload;
@@ -108,17 +108,15 @@ enum class ResponseSource {
 
 struct QueryResponse {
   Status status;
-  /// Shared immutable full-pipeline result (QueryMode::kFull); null on
-  /// error and for planned-mode responses. Identical queries may receive
-  /// the *same* pointer (memoization is by reference).
+  /// The full-pipeline result this response's answer was rendered from:
+  /// set only on executed and coalesced QueryMode::kFull responses, which
+  /// share the leader's pointer. Null on hits, on planned and summarize
+  /// responses and on error. The server never retains it, so it lives as
+  /// long as the responses holding it.
   std::shared_ptr<const core::PipelineResult> result;
-  /// Shared planned answer (QueryMode::kPlanned); null on error and for
-  /// full-mode responses.
-  std::shared_ptr<const core::PairAnswer> planned;
-  /// Shared summary artifact (QueryMode::kSummarize); null otherwise.
-  std::shared_ptr<const SummaryArtifact> summary;
-  /// The answer's rendered payload, shared like the answer itself; set on
-  /// every OK response and null on error.
+  /// The answer's rendered payload; set on every OK response and null on
+  /// error. The executed, coalesced and hit responses of one cache entry
+  /// share the same pointer.
   std::shared_ptr<const RenderedAnswer> rendering;
   ResponseSource source = ResponseSource::kError;
   /// Single-flight cache key: hash of (scenario epoch, T, O, options
@@ -157,7 +155,9 @@ struct QueryServerOptions {
 ///  - results, per QueryCacheKey: claimed pending at admission, so an
 ///    identical query arriving while the first is queued or running
 ///    follows it instead of enqueueing a duplicate; done entries serve
-///    later identical queries at submit time.
+///    later identical queries at submit time. A done entry is the
+///    answer's RenderedAnswer and nothing else: the answer object it was
+///    rendered from reaches only the leader's response and its followers'.
 ///  - plans: one C-DAG artifact per (scenario, epoch, options), built by
 ///    the first planned or summarize request and shared by every later
 ///    pair and summary. Followers block their worker on the build until
@@ -262,13 +262,13 @@ class QueryServer {
     Clock::time_point submit_time;
   };
 
-  /// A result-tier value: the pointer matching the query mode, plus the
-  /// answer's payload rendered when the entry completed.
-  struct CachedAnswer {
-    std::shared_ptr<const core::PipelineResult> result;
-    std::shared_ptr<const core::PairAnswer> planned;
-    std::shared_ptr<const SummaryArtifact> summary;
+  /// What a computation answers with: the rendering the result tier
+  /// keeps, plus, for a full-mode answer, the PipelineResult it was
+  /// rendered from, handed only to the leader's and its followers'
+  /// responses.
+  struct Answer {
     std::shared_ptr<const RenderedAnswer> rendering;
+    std::shared_ptr<const core::PipelineResult> result;
   };
 
   using PlanResult = Result<std::shared_ptr<const core::CdagPlan>>;
@@ -289,7 +289,7 @@ class QueryServer {
   void WorkerLoop();
   /// Computes a popped request; answers it and its followers.
   void ExecuteRequest(Request request);
-  Result<CachedAnswer> Compute(const Request& request, CancelToken* token);
+  Result<Answer> Compute(const Request& request, CancelToken* token);
 
   /// The pipeline on the request's bundle and options.
   Result<core::PipelineResult> RunPipeline(const Request& request,
@@ -310,7 +310,7 @@ class QueryServer {
   void Respond(std::promise<QueryResponse>* promise, QueryResponse response);
   /// `source` applies to an answer; an error's source is kError.
   QueryResponse MakeResponse(
-      Result<CachedAnswer> outcome, std::uint64_t key, std::uint64_t epoch,
+      Result<Answer> outcome, std::uint64_t key, std::uint64_t epoch,
       Clock::time_point submit_time,
       ResponseSource source = ResponseSource::kError) const;
 
@@ -321,7 +321,9 @@ class QueryServer {
   mutable std::mutex mu_;
   std::condition_variable work_ready_;
   std::deque<Request> queue_;
-  SingleFlightCache<std::uint64_t, CachedAnswer, Waiter> results_;
+  SingleFlightCache<std::uint64_t, std::shared_ptr<const RenderedAnswer>,
+                    Waiter>
+      results_;
   SingleFlightCache<std::uint64_t, std::shared_ptr<const core::CdagPlan>,
                     std::promise<PlanResult>>
       plans_;

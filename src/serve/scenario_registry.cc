@@ -17,6 +17,45 @@ std::size_t ScenarioBundle::NumericIndex(const std::string& attribute) const {
   return kNotNumeric;
 }
 
+Status ScenarioBundle::CheckPair(const std::string& exposure,
+                                 const std::string& outcome,
+                                 bool need_variance) const {
+  const std::pair<const char*, const std::string*> roles[] = {
+      {"exposure", &exposure}, {"outcome", &outcome}};
+  // The entity column is the join key, not a variable.
+  for (const auto& [role, attr] : roles) {
+    if (*attr == scenario->spec.entity_column) {
+      return Status::InvalidArgument(
+          std::string(role) + " '" + *attr + "' is the entity column of " +
+          "scenario '" + name + "', not a variable");
+    }
+  }
+  for (const auto& [role, attr] : roles) {
+    const std::size_t idx = NumericIndex(*attr);
+    if (idx == kNotNumeric) {
+      std::string msg = std::string(role) + " '" + *attr +
+                        "' is not a numeric attribute of scenario '" + name +
+                        "' (available:";
+      for (const auto& a : numeric_attributes) msg += " " + a;
+      msg += ")";
+      return Status::InvalidArgument(std::move(msg));
+    }
+    // The shared sufficient statistics make this O(1): a zero diagonal
+    // entry of S means the column is constant over the complete rows.
+    if (need_variance && input_stats != nullptr &&
+        input_stats->cross_products()(idx, idx) <= 0.0) {
+      return Status::InvalidArgument(std::string(role) + " '" + *attr +
+                                     "' has no variance in scenario '" +
+                                     name + "'");
+    }
+  }
+  if (exposure == outcome) {
+    return Status::InvalidArgument(
+        "exposure and outcome must be distinct (both '" + exposure + "')");
+  }
+  return Status::OK();
+}
+
 std::size_t EstimateBundleBytes(const ScenarioBundle& bundle) {
   std::size_t bytes = sizeof(ScenarioBundle) + bundle.name.size();
   if (bundle.input != nullptr) bytes += bundle.input->ByteSize();
@@ -64,28 +103,10 @@ ScenarioRegistry::Shard& ScenarioRegistry::ShardFor(
 
 Result<std::shared_ptr<const ScenarioBundle>> ScenarioRegistry::Register(
     const std::string& name,
-    std::unique_ptr<const datagen::Scenario> scenario,
-    std::optional<core::PipelineOptions> default_options) {
-  return Insert(name, std::shared_ptr<const datagen::Scenario>(
-                          std::move(scenario)),
-                std::move(default_options), /*allow_replace=*/false);
-}
-
-Result<std::shared_ptr<const ScenarioBundle>> ScenarioRegistry::Register(
-    const std::string& name,
     std::shared_ptr<const datagen::Scenario> scenario,
     std::optional<core::PipelineOptions> default_options) {
   return Insert(name, std::move(scenario), std::move(default_options),
                 /*allow_replace=*/false);
-}
-
-Result<std::shared_ptr<const ScenarioBundle>> ScenarioRegistry::Replace(
-    const std::string& name,
-    std::unique_ptr<const datagen::Scenario> scenario,
-    std::optional<core::PipelineOptions> default_options) {
-  return Insert(name, std::shared_ptr<const datagen::Scenario>(
-                          std::move(scenario)),
-                std::move(default_options), /*allow_replace=*/true);
 }
 
 Result<std::shared_ptr<const ScenarioBundle>> ScenarioRegistry::Replace(
@@ -135,6 +156,26 @@ Result<std::shared_ptr<const ScenarioBundle>> ScenarioRegistry::Insert(
     if (col.name() == bundle->scenario->spec.entity_column) continue;
     bundle->numeric_attributes.push_back(col.name());
     ds.columns.push_back(col.View());
+  }
+  // A declared canonical pair is what planned and summarize queries build
+  // their plan from; a bad one is rejected here, not by every such query.
+  const std::string& exposure = bundle->scenario->exposure_attribute;
+  const std::string& outcome = bundle->scenario->outcome_attribute;
+  if (exposure.empty() != outcome.empty()) {
+    return Status::InvalidArgument(
+        "scenario '" + name + "' declares " +
+        (exposure.empty() ? "outcome '" + outcome + "' but no exposure"
+                          : "exposure '" + exposure + "' but no outcome") +
+        " (declare both or neither)");
+  }
+  if (!exposure.empty()) {
+    const Status pair = bundle->CheckPair(exposure, outcome,
+                                          /*need_variance=*/false);
+    if (!pair.ok()) {
+      return Status(pair.code(), "scenario '" + name +
+                                     "' declares an unusable canonical "
+                                     "pair: " + pair.message());
+    }
   }
   if (!ds.columns.empty()) {
     auto stats = stats::SufficientStats::Compute(ds);

@@ -76,6 +76,16 @@ struct ScenarioBundle {
   /// npos when the column is missing or non-numeric.
   static constexpr std::size_t kNotNumeric = static_cast<std::size_t>(-1);
   std::size_t NumericIndex(const std::string& attribute) const;
+
+  /// Whether (exposure, outcome) can be a causal pair of this bundle:
+  /// neither is the entity column (the join key, not a variable), both
+  /// are numeric input attributes, and they differ. With
+  /// `need_variance`, each must also vary over the complete rows, which
+  /// an effect estimate needs; a declared canonical pair need not (its
+  /// plan still serves the other pairs). kInvalidArgument names the
+  /// first offending column.
+  Status CheckPair(const std::string& exposure, const std::string& outcome,
+                   bool need_variance) const;
 };
 
 /// Deterministic estimate of a bundle's resident heap bytes: the live
@@ -155,13 +165,12 @@ class ScenarioRegistry {
 
   /// Registers `scenario` under `name`. kAlreadyExists when the name is
   /// taken (use Replace to swap). `default_options` falls back to
-  /// core::DefaultEvaluationOptions(*scenario). The shared_ptr overloads
-  /// allow one materialized scenario to back many names (the bundle only
-  /// ever reads it).
-  Result<std::shared_ptr<const ScenarioBundle>> Register(
-      const std::string& name,
-      std::unique_ptr<const datagen::Scenario> scenario,
-      std::optional<core::PipelineOptions> default_options = std::nullopt);
+  /// core::DefaultEvaluationOptions(*scenario). A shared scenario may
+  /// back many names (the bundle only ever reads it); a
+  /// `std::unique_ptr&&` converts implicitly. kInvalidArgument, naming
+  /// the column, when the scenario declares a canonical pair that
+  /// ScenarioBundle::CheckPair rejects or only half a pair: planned and
+  /// summarize queries build their plan from that pair.
   Result<std::shared_ptr<const ScenarioBundle>> Register(
       const std::string& name,
       std::shared_ptr<const datagen::Scenario> scenario,
@@ -171,10 +180,6 @@ class ScenarioRegistry {
   /// epoch, so cached results for the old bundle can never be served for
   /// the new one. In-flight queries holding the old snapshot finish
   /// against the old data.
-  Result<std::shared_ptr<const ScenarioBundle>> Replace(
-      const std::string& name,
-      std::unique_ptr<const datagen::Scenario> scenario,
-      std::optional<core::PipelineOptions> default_options = std::nullopt);
   Result<std::shared_ptr<const ScenarioBundle>> Replace(
       const std::string& name,
       std::shared_ptr<const datagen::Scenario> scenario,

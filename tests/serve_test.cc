@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <future>
 #include <limits>
 #include <memory>
@@ -24,6 +25,7 @@
 #include "datagen/flights.h"
 #include "datagen/grid.h"
 #include "datagen/scenario.h"
+#include "serve/bundle_loader.h"
 #include "serve/line_protocol.h"
 #include "serve/metrics.h"
 #include "serve/query_server.h"
@@ -90,6 +92,19 @@ core::CdagPlan FreshPlan(const ScenarioBundle& bundle) {
       std::make_shared<const core::PipelineResult>(std::move(run).value()));
   EXPECT_TRUE(plan.ok()) << plan.status().ToString();
   return std::move(plan).value();
+}
+
+/// The payloads a served summary must carry, rendered afresh from a
+/// direct SummarizeClusterDag. Their fingerprint covers the SummaryDag
+/// and both of its renderings.
+RenderedAnswer FreshSummaryRendering(summarize::SummaryDag summary) {
+  SummaryArtifact artifact;
+  artifact.dot = summary.ToDot();
+  artifact.json = summary.ToJson();
+  artifact.summary =
+      std::make_shared<const summarize::SummaryDag>(std::move(summary));
+  return {FormatSummaryPayload(artifact, "dot"),
+          FormatSummaryPayload(artifact, "json")};
 }
 
 /// Rendezvous point for the worker pre-execute hook: workers block in
@@ -495,7 +510,7 @@ TEST(QueryServerTest, ServedBitwiseEqualsDirectRunAtOneAndEightWorkers) {
     for (std::size_t i = 0; i < futures.size(); ++i) {
       auto response = futures[i].get();
       ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-      EXPECT_EQ(FormatResultPayload(*response.result), expected[i])
+      EXPECT_EQ(response.rendering->payload, expected[i])
           << "workers=" << workers << " query " << i;
     }
 
@@ -504,7 +519,7 @@ TEST(QueryServerTest, ServedBitwiseEqualsDirectRunAtOneAndEightWorkers) {
       auto response = server.Execute(queries[i]);
       ASSERT_TRUE(response.status.ok());
       EXPECT_EQ(response.source, ResponseSource::kCacheHit);
-      EXPECT_EQ(FormatResultPayload(*response.result), expected[i]);
+      EXPECT_EQ(response.rendering->payload, expected[i]);
     }
 
     const auto metrics = server.Metrics();
@@ -569,10 +584,9 @@ TEST(QueryServerTest, PlannedSweepMatchesFreshPlanOnBothScenarios) {
           ASSERT_TRUE(response.status.ok())
               << name << " workers=" << workers << " pair " << i << ": "
               << response.status.ToString();
-          ASSERT_NE(response.planned, nullptr);
+          ASSERT_NE(response.rendering, nullptr);
           EXPECT_EQ(response.result, nullptr);
-          EXPECT_EQ(FormatPairAnswerPayload(*response.planned),
-                    expected[i].payload)
+          EXPECT_EQ(response.rendering->payload, expected[i].payload)
               << name << " workers=" << workers << " pair " << i;
         } else {
           EXPECT_EQ(response.status.code(), expected[i].code)
@@ -626,7 +640,7 @@ TEST(QueryServerTest, ConcurrentPlannedFirstQueriesBuildPlanOnce) {
     auto response = f.get();
     if (response.status.ok()) {
       ++ok;
-      EXPECT_NE(response.planned, nullptr);
+      EXPECT_NE(response.rendering, nullptr);
     } else {
       // Same-cluster pairs are legitimately unanswerable off the C-DAG.
       EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument);
@@ -670,7 +684,7 @@ TEST(QueryServerTest, PlanFollowerDeadlineExpiresWhileLeaderBuilds) {
   EXPECT_EQ(expired.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_NE(expired.status.message().find("plan build"), std::string::npos)
       << expired.status.ToString();
-  EXPECT_EQ(expired.planned, nullptr);
+  EXPECT_EQ(expired.rendering, nullptr);
   EXPECT_EQ(server.Metrics().plan_builds, 0u);
 
   gate.Open();
@@ -688,8 +702,7 @@ TEST(QueryServerTest, PlanFollowerDeadlineExpiresWhileLeaderBuilds) {
   if (answer.ok()) {
     ASSERT_TRUE(served.status.ok()) << served.status.ToString();
     EXPECT_EQ(served.source, ResponseSource::kExecuted);
-    EXPECT_EQ(FormatPairAnswerPayload(*served.planned),
-              FormatPairAnswerPayload(*answer));
+    EXPECT_EQ(served.rendering->payload, FormatPairAnswerPayload(*answer));
   } else {
     EXPECT_EQ(served.status.code(), answer.status().code());
   }
@@ -804,7 +817,7 @@ TEST(QueryServerTest, EpochChurnKeepsCachesBoundedAndServesFreshResults) {
       auto answer = fresh.AnswerPair(t, o);
       if (answer.ok()) {
         ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-        EXPECT_EQ(FormatPairAnswerPayload(*response.planned),
+        EXPECT_EQ(response.rendering->payload,
                   FormatPairAnswerPayload(*answer))
             << t << " -> " << o;
         EXPECT_EQ(response.scenario_epoch, (*final_bundle)->epoch);
@@ -824,9 +837,14 @@ TEST(QueryServerTest, EpochChurnKeepsCachesBoundedAndServesFreshResults) {
     auto direct = summarize::SummarizeClusterDag(final_cdag, sopts);
     if (direct.ok()) {
       ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-      ASSERT_NE(response.summary, nullptr);
-      EXPECT_EQ(response.summary->dot, direct->ToDot()) << "k=" << k;
-      EXPECT_EQ(response.summary->json, direct->ToJson()) << "k=" << k;
+      ASSERT_NE(response.rendering, nullptr);
+      const RenderedAnswer fresh_rendering =
+          FreshSummaryRendering(*std::move(direct));
+      EXPECT_EQ(response.rendering->payload, fresh_rendering.payload)
+          << "k=" << k;
+      EXPECT_EQ(response.rendering->json_payload,
+                fresh_rendering.json_payload)
+          << "k=" << k;
       EXPECT_EQ(response.scenario_epoch, (*final_bundle)->epoch);
     } else {
       EXPECT_EQ(response.status.code(), direct.status().code()) << "k=" << k;
@@ -848,8 +866,9 @@ TEST(QueryServerTest, EpochChurnKeepsCachesBoundedAndServesFreshResults) {
 // --------------------------------------- Summaries (QueryMode::kSummarize)
 
 /// Every budget from 2 to the C-DAG's node count, served at 1 and 8
-/// workers: each served summary must be byte-identical — DOT, JSON and
-/// fingerprint — to a summary built directly from a fresh plan's C-DAG.
+/// workers: each served summary's DOT and JSON payloads (fingerprint
+/// included) must be byte-identical to those of a summary built directly
+/// from a fresh plan's C-DAG.
 /// Budgets the merge pass rejects (below the safe floor) must come back
 /// as errors with the same status code.
 TEST(QueryServerTest, SummarizeServedBitwiseEqualsDirectBuildAtOneAndEightWorkers) {
@@ -862,7 +881,7 @@ TEST(QueryServerTest, SummarizeServedBitwiseEqualsDirectBuildAtOneAndEightWorker
 
   struct Expected {
     StatusCode code;
-    std::string dot, json;
+    RenderedAnswer rendering;
   };
   std::vector<CdiQuery> queries;
   std::vector<Expected> expected;
@@ -874,10 +893,10 @@ TEST(QueryServerTest, SummarizeServedBitwiseEqualsDirectBuildAtOneAndEightWorker
     auto direct = summarize::SummarizeClusterDag(cdag, sopts);
     if (direct.ok()) {
       expected.push_back(
-          {StatusCode::kOk, direct->ToDot(), direct->ToJson()});
+          {StatusCode::kOk, FreshSummaryRendering(*std::move(direct))});
       ++achievable;
     } else {
-      expected.push_back({direct.status().code(), "", ""});
+      expected.push_back({direct.status().code(), {}});
     }
   }
   ASSERT_GE(achievable, 2u);  // covid's C-DAG must be summarizable at all
@@ -896,10 +915,11 @@ TEST(QueryServerTest, SummarizeServedBitwiseEqualsDirectBuildAtOneAndEightWorker
         ASSERT_TRUE(response.status.ok())
             << "workers=" << workers << " k=" << queries[i].summarize_k
             << ": " << response.status.ToString();
-        ASSERT_NE(response.summary, nullptr);
-        EXPECT_EQ(response.summary->dot, expected[i].dot)
+        ASSERT_NE(response.rendering, nullptr);
+        EXPECT_EQ(response.rendering->payload, expected[i].rendering.payload)
             << "workers=" << workers << " k=" << queries[i].summarize_k;
-        EXPECT_EQ(response.summary->json, expected[i].json)
+        EXPECT_EQ(response.rendering->json_payload,
+                  expected[i].rendering.json_payload)
             << "workers=" << workers << " k=" << queries[i].summarize_k;
       } else {
         EXPECT_EQ(response.status.code(), expected[i].code)
@@ -917,11 +937,10 @@ TEST(QueryServerTest, SummarizeServedBitwiseEqualsDirectBuildAtOneAndEightWorker
         auto response = server.Execute(q);
         ASSERT_TRUE(response.status.ok());
         EXPECT_EQ(response.source, ResponseSource::kCacheHit);
-        EXPECT_EQ(FormatSummaryPayload(*response.summary, format),
-                  FormatSummaryPayload(
-                      SummaryArtifact{response.summary->summary,
-                                      expected[i].dot, expected[i].json},
-                      format));
+        EXPECT_EQ(ResponseLinePayload(FormatResponseLine(q, response)),
+                  q.summarize_format == "json"
+                      ? expected[i].rendering.json_payload
+                      : expected[i].rendering.payload);
       }
     }
 
@@ -952,14 +971,15 @@ TEST(QueryServerTest, ConcurrentIdenticalSummariesBuildOnce) {
   for (int i = 0; i < kClients; ++i) {
     futures.push_back(server.Submit(SummarizeQuery(n - 1)));
   }
-  std::set<std::uint64_t> fingerprints;
+  // One build: every client shares the leader's rendering.
+  std::set<const RenderedAnswer*> renderings;
   for (auto& f : futures) {
     auto response = f.get();
     ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-    ASSERT_NE(response.summary, nullptr);
-    fingerprints.insert(SummaryFingerprint(*response.summary));
+    ASSERT_NE(response.rendering, nullptr);
+    renderings.insert(response.rendering.get());
   }
-  EXPECT_EQ(fingerprints.size(), 1u);
+  EXPECT_EQ(renderings.size(), 1u);
   const auto metrics = server.Metrics();
   EXPECT_EQ(metrics.summary_builds, 1u);
   EXPECT_EQ(metrics.plan_builds, 1u);
@@ -1037,14 +1057,51 @@ TEST(QueryServerTest, ConcurrentIdenticalQueriesExecuteOnce) {
     auto response = f.get();
     ASSERT_TRUE(response.status.ok());
     EXPECT_EQ(response.source, ResponseSource::kCoalesced);
-    // Memoization is by reference: the identical shared result object.
+    // Memoization is by reference: the leader's result and rendering.
     EXPECT_EQ(response.result.get(), lead.result.get());
+    EXPECT_EQ(response.rendering.get(), lead.rendering.get());
   }
 
   const auto metrics = server.Metrics();
   EXPECT_EQ(metrics.executions, 1u);
   EXPECT_EQ(metrics.coalesced, static_cast<std::uint64_t>(kFollowers));
   EXPECT_EQ(metrics.served, 1u + kFollowers);
+}
+
+/// A done result-tier entry is its rendering and nothing else: the
+/// PipelineResult a full-mode answer was rendered from dies with the
+/// responses that carry it, and later hits serve the same payload from
+/// the same rendering.
+TEST(QueryServerTest, ResultTierRetainsOnlyRenderings) {
+  ScenarioRegistry registry;
+  auto bundle = *registry.Register("covid", BuildCovid());
+  const auto& attrs = bundle->numeric_attributes;
+  QueryServer server(&registry);
+
+  const auto q = Query(attrs[0], attrs[1]);
+  std::weak_ptr<const core::PipelineResult> result;
+  std::shared_ptr<const RenderedAnswer> rendering;
+  std::string payload;
+  {
+    const auto executed = server.Execute(q);
+    ASSERT_TRUE(executed.status.ok()) << executed.status.ToString();
+    EXPECT_EQ(executed.source, ResponseSource::kExecuted);
+    ASSERT_NE(executed.result, nullptr);
+    EXPECT_EQ(executed.rendering->payload,
+              FormatResultPayload(*executed.result));
+    result = executed.result;
+    rendering = executed.rendering;
+    payload = ResponseLinePayload(FormatResponseLine(q, executed));
+  }
+  EXPECT_TRUE(result.expired()) << "the result tier kept the PipelineResult";
+
+  const auto hit = server.Execute(q);
+  ASSERT_TRUE(hit.status.ok()) << hit.status.ToString();
+  EXPECT_EQ(hit.source, ResponseSource::kCacheHit);
+  EXPECT_EQ(hit.result, nullptr);
+  EXPECT_EQ(hit.rendering.get(), rendering.get());
+  EXPECT_EQ(ResponseLinePayload(FormatResponseLine(q, hit)), payload);
+  EXPECT_EQ(server.Metrics().result_payload_bytes, payload.size());
 }
 
 // ------------------------------------------------------ Admission control
@@ -1123,7 +1180,7 @@ TEST(QueryServerTest, QueuedPastDeadlineFailsWithoutCorruptingCache) {
   auto direct = pipeline.Run(sc.input_table, sc.spec.entity_column,
                              attrs[1], attrs[2]);
   ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(FormatResultPayload(*retry.result),
+  EXPECT_EQ(retry.rendering->payload,
             FormatResultPayload(*direct));
 
   const auto metrics = server.Metrics();
@@ -1255,7 +1312,7 @@ TEST(QueryServerTest, UpdateScenarioServesFreshAnswers) {
     auto direct = pipeline.Run(*(*updated)->input, sc.spec.entity_column,
                                attrs[0], attrs[1]);
     ASSERT_TRUE(direct.ok()) << direct.status().ToString();
-    EXPECT_EQ(FormatResultPayload(*after.result),
+    EXPECT_EQ(after.rendering->payload,
               FormatResultPayload(*direct));
   }
 
@@ -1270,7 +1327,7 @@ TEST(QueryServerTest, UpdateScenarioServesFreshAnswers) {
       auto answer = fresh.AnswerPair(t, o);
       if (answer.ok()) {
         ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-        EXPECT_EQ(FormatPairAnswerPayload(*response.planned),
+        EXPECT_EQ(response.rendering->payload,
                   FormatPairAnswerPayload(*answer))
             << t << " -> " << o;
         EXPECT_EQ(response.scenario_epoch, (*updated)->epoch);
@@ -1288,8 +1345,10 @@ TEST(QueryServerTest, UpdateScenarioServesFreshAnswers) {
   auto summary = server.Execute(SummarizeQuery(sopts.budget));
   ASSERT_TRUE(summary.status.ok()) << summary.status.ToString();
   EXPECT_EQ(summary.scenario_epoch, (*updated)->epoch);
-  EXPECT_EQ(summary.summary->dot, direct_summary->ToDot());
-  EXPECT_EQ(summary.summary->json, direct_summary->ToJson());
+  const RenderedAnswer fresh_summary =
+      FreshSummaryRendering(*std::move(direct_summary));
+  EXPECT_EQ(summary.rendering->payload, fresh_summary.payload);
+  EXPECT_EQ(summary.rendering->json_payload, fresh_summary.json_payload);
 
   const auto metrics = server.Metrics();
   EXPECT_EQ(metrics.epoch_rollovers, 1u);
@@ -1498,7 +1557,7 @@ TEST(LineProtocolTest, SummarizeResponseLineCarriesModeAndPayload) {
   EXPECT_NE(line.find("payload=\""), std::string::npos) << line;
   // The DOT rendering is multi-line; the escaping must keep the protocol
   // single-line and the raw bytes must not leak through unescaped.
-  EXPECT_NE(response.summary->dot.find('\n'), std::string::npos);
+  EXPECT_EQ(response.rendering->payload.find('\n'), std::string::npos);
   EXPECT_NE(line.find("\\n"), std::string::npos) << line;
 
   // Budgets past the DAG size fail at execution, naming the size.
@@ -1600,11 +1659,8 @@ TEST(LineProtocolTest, ServedPayloadEqualsFreshRenderingForEverySource) {
   sopts.budget = k;
   auto summary = summarize::SummarizeClusterDag(cdag, sopts);
   ASSERT_TRUE(summary.ok()) << summary.status().ToString();
-  SummaryArtifact artifact;
-  artifact.dot = summary->ToDot();
-  artifact.json = summary->ToJson();
-  artifact.summary =
-      std::make_shared<const summarize::SummaryDag>(*std::move(summary));
+  const RenderedAnswer fresh_summary =
+      FreshSummaryRendering(*std::move(summary));
 
   CdiQuery planned = Query(attrs[0], attrs[1]);
   planned.mode = QueryMode::kPlanned;
@@ -1616,8 +1672,8 @@ TEST(LineProtocolTest, ServedPayloadEqualsFreshRenderingForEverySource) {
   const std::vector<Case> cases = {
       {Query(attrs[0], attrs[1]), FormatResultPayload(*run)},
       {planned, FormatPairAnswerPayload(*pair)},
-      {SummarizeQuery(k, "dot"), FormatSummaryPayload(artifact, "dot")},
-      {SummarizeQuery(k, "json"), FormatSummaryPayload(artifact, "json")}};
+      {SummarizeQuery(k, "dot"), fresh_summary.payload},
+      {SummarizeQuery(k, "json"), fresh_summary.json_payload}};
   constexpr std::size_t kLeaders = 3;
   const auto leader_of = [](std::size_t i) {
     return std::min(i, kLeaders - 1);
@@ -2075,8 +2131,8 @@ TEST(QueryServerTest, UnregisterSweepsOnlyThatScenariosCacheEntries) {
   const auto flights_again = server.Execute(flights_q);
   ASSERT_TRUE(flights_again.status.ok());
   EXPECT_EQ(flights_again.source, ResponseSource::kCacheHit);
-  EXPECT_EQ(FormatResultPayload(*flights_again.result),
-            FormatResultPayload(*flights_first.result));
+  EXPECT_EQ(flights_again.rendering->payload,
+            flights_first.rendering->payload);
 
   // The covid name rejects descriptively; unregistering twice says why.
   const auto miss = server.Execute(covid_q).status;
@@ -2163,7 +2219,7 @@ TEST(QueryServerTest, ConcurrentRegisterUnregisterQueryRacesStayCoherent) {
             q.outcome = "outcome_score";
             const auto response = server.Execute(q);
             if (response.status.ok()) {
-              if (FormatResultPayload(*response.result) != expected[pick]) {
+              if (response.rendering->payload != expected[pick]) {
                 torn.fetch_add(1);
               }
             } else if (response.status.code() != StatusCode::kNotFound) {
@@ -2295,6 +2351,128 @@ TEST(LineProtocolTest, ParsesRegisterGenerateAndUnregister) {
   EXPECT_EQ(unreg->target, "mysc");
   EXPECT_EQ(ParseCommandLine("unregister a b").status().code(),
             StatusCode::kInvalidArgument);
+}
+
+/// Writes a small CSV for file-registration tests and returns its path:
+/// entity `id`, a string column `label`, numeric a -> b -> c with
+/// deterministic noise, and a constant `k`.
+std::string WriteRegisterCsv(const std::string& file) {
+  const std::string path = ::testing::TempDir() + file;
+  std::ofstream out(path);
+  out << "id,label,a,b,c,k\n";
+  for (int i = 0; i < 80; ++i) {
+    const double u = ((i * 37) % 83) / 83.0 - 0.5;
+    const double v = ((i * 53) % 79) / 79.0 - 0.5;
+    const double w = ((i * 61) % 89) / 89.0 - 0.5;
+    const double a = u;
+    const double b = 2.0 * a + v;
+    const double c = 1.5 * b + w;
+    out << "e" << i << ",l" << (i % 3) << "," << a << "," << b << "," << c
+        << ",1\n";
+  }
+  return path;
+}
+
+/// A `register` line run the way cdi_serve runs it: parsed, loaded from
+/// files and registered with plain pipeline options.
+Result<std::shared_ptr<const ScenarioBundle>> RegisterLine(
+    QueryServer* server, const std::string& line) {
+  CDI_ASSIGN_OR_RETURN(ServerCommand cmd, ParseCommandLine(line));
+  ScenarioFileInputs inputs;
+  inputs.input_csv = cmd.register_input;
+  inputs.entity_column = cmd.register_entity;
+  inputs.exposure = cmd.register_exposure;
+  inputs.outcome = cmd.register_outcome;
+  return server->RegisterScenario(
+      cmd.target,
+      [&]() -> Result<std::shared_ptr<const datagen::Scenario>> {
+        CDI_ASSIGN_OR_RETURN(auto scenario,
+                             LoadScenarioFromFiles(cmd.target, inputs));
+        return std::shared_ptr<const datagen::Scenario>(std::move(scenario));
+      },
+      cmd.replace, core::PipelineOptions{});
+}
+
+/// A declared canonical pair is checked at registration: half a pair, a
+/// missing, non-numeric or entity column, or exposure == outcome fails
+/// the registration with an error naming the flag or column, before any
+/// query burns a worker on it. A constant declared column is accepted:
+/// its plan still serves the other pairs.
+TEST(LineProtocolTest, RegisterRejectsAnUnusableCanonicalPair) {
+  const std::string csv = WriteRegisterCsv("register_pair.csv");
+  ScenarioRegistry registry;
+  QueryServer server(&registry);
+
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"exposure=nope outcome=b", "exposure 'nope' is not a numeric"},
+      {"exposure=a outcome=nope", "outcome 'nope' is not a numeric"},
+      {"exposure=label outcome=b", "exposure 'label' is not a numeric"},
+      {"exposure=id outcome=b", "exposure 'id' is the entity column"},
+      {"exposure=a outcome=id", "outcome 'id' is the entity column"},
+      {"exposure=a outcome=a", "must be distinct (both 'a')"},
+      {"exposure=a", "declares exposure 'a' but no outcome"},
+      {"outcome=b", "declares outcome 'b' but no exposure"},
+  };
+  for (const auto& [flags, named] : bad) {
+    const auto registered =
+        RegisterLine(&server, "register s1 input=" + csv + " entity=id " +
+                                  flags);
+    EXPECT_EQ(registered.status().code(), StatusCode::kInvalidArgument)
+        << flags;
+    EXPECT_NE(registered.status().message().find(named), std::string::npos)
+        << flags << ": " << registered.status().ToString();
+  }
+  EXPECT_EQ(registry.size(), 0u);
+  const auto refused = ParseCommandLine("query s1 a b mode=planned");
+  ASSERT_TRUE(refused.ok());
+  EXPECT_EQ(server.Execute(refused->query).status.code(),
+            StatusCode::kNotFound);
+
+  ASSERT_TRUE(RegisterLine(&server, "register s3 input=" + csv +
+                                        " entity=id exposure=a outcome=k")
+                  .ok());
+  const auto planned = ParseCommandLine("query s3 a b mode=planned");
+  ASSERT_TRUE(planned.ok());
+  const auto response = server.Execute(planned->query);
+  EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+  const auto metrics = server.Metrics();
+  EXPECT_EQ(metrics.executions, 1u);
+  EXPECT_EQ(metrics.plan_builds, 1u);
+}
+
+/// Planned and summarize answers come off the plan of the scenario's
+/// canonical pair: a scenario registered without one rejects them at
+/// admission, naming the missing flags, and never takes a worker; full
+/// queries are unaffected.
+TEST(LineProtocolTest, PlannedAndSummarizeNeedACanonicalPair) {
+  const std::string csv = WriteRegisterCsv("register_no_pair.csv");
+  ScenarioRegistry registry;
+  QueryServer server(&registry);
+  ASSERT_TRUE(
+      RegisterLine(&server, "register s2 input=" + csv + " entity=id").ok());
+
+  for (const std::string line :
+       {"query s2 a b mode=planned", "summarize s2 k=3",
+        "summarize s2 k=3 format=json"}) {
+    const auto cmd = ParseCommandLine(line);
+    ASSERT_TRUE(cmd.ok()) << line;
+    const std::string out =
+        FormatResponseLine(cmd->query, server.Execute(cmd->query));
+    EXPECT_EQ(out.rfind("error scenario=s2 ", 0), 0u) << out;
+    EXPECT_NE(out.find("code=InvalidArgument"), std::string::npos) << out;
+    EXPECT_NE(out.find("exposure= and outcome="), std::string::npos) << out;
+  }
+  auto metrics = server.Metrics();
+  EXPECT_EQ(metrics.executions, 0u);
+  EXPECT_EQ(metrics.failed, 3u);
+
+  const auto full = ParseCommandLine("query s2 a b");
+  ASSERT_TRUE(full.ok());
+  const auto response = server.Execute(full->query);
+  EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+  metrics = server.Metrics();
+  EXPECT_EQ(metrics.executions, 1u);
+  EXPECT_EQ(metrics.plan_builds, 0u);
 }
 
 /// Every field a parsed command carries, as one comparable string.
