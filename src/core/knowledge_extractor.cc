@@ -53,7 +53,7 @@ double RobustAbsCorr(const Ranked& a, const Ranked& b) {
 Result<ExtractionResult> KnowledgeExtractor::Extract(
     const table::Table& input, const std::string& entity_column,
     const std::string& exposure, const std::string& outcome,
-    LatencyMeter* meter) const {
+    LatencyMeter* meter, const CancelToken* cancel) const {
   CDI_ASSIGN_OR_RETURN(const table::Column* key_col,
                        input.GetColumn(entity_column));
   if (key_col->type() != table::DataType::kString) {
@@ -142,15 +142,16 @@ Result<ExtractionResult> KnowledgeExtractor::Extract(
         kg_->ExtractProperties(keys, entity_column, options_.follow_kg_links,
                                meter));
     for (std::size_t c = 0; c < kg_table.num_cols(); ++c) {
-      const table::Column& col = kg_table.ColumnAt(c);
+      table::Column& col = kg_table.MutableColumnAt(c);
       if (col.name() == entity_column) continue;
+      CDI_RETURN_IF_ERROR(CheckCancel(cancel));
       ++result.kg_columns_found;
-      Candidate cand{col, {}, 0.0};
-      cand.info.name = col.name();
+      Candidate cand{std::move(col), {}, 0.0};
+      cand.info.name = cand.column.name();
       cand.info.source = "knowledge_graph";
-      if (table::IsNumeric(col.type()) ||
-          col.type() == table::DataType::kBool) {
-        score_relevance(col.View(), &cand.info.corr_with_exposure,
+      if (table::IsNumeric(cand.column.type()) ||
+          cand.column.type() == table::DataType::kBool) {
+        score_relevance(cand.column.View(), &cand.info.corr_with_exposure,
                         &cand.info.corr_with_outcome, &cand.relevance,
                         &cand.significant);
       } else {
@@ -190,6 +191,7 @@ Result<ExtractionResult> KnowledgeExtractor::Extract(
       for (const auto& entry : *ranked) {
         knowledge::DataLake::JoinedColumn& jc = joined[entry.second];
         if (!seen.insert({jc.table_index, jc.value_column}).second) continue;
+        CDI_RETURN_IF_ERROR(CheckCancel(cancel));
         ++result.lake_columns_found;
         Candidate cand{
             table::Column::FromDoubles(jc.value_column, std::move(jc.values)),

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cancellation.h"
 #include "common/status.h"
 #include "common/timer.h"
 #include "knowledge/data_lake.h"
@@ -69,12 +70,15 @@ class KnowledgeExtractor {
 
   /// Extracts attributes for `input`'s entities (named by `entity_column`)
   /// relevant to exposure/outcome. Charges simulated external latency to
-  /// `meter` when non-null.
+  /// `meter` when non-null. `cancel` (may be null) is polled before each
+  /// candidate column is scored; a cancelled or expired token fails the
+  /// call with its Status and no partial result.
   Result<ExtractionResult> Extract(const table::Table& input,
                                    const std::string& entity_column,
                                    const std::string& exposure,
                                    const std::string& outcome,
-                                   LatencyMeter* meter = nullptr) const;
+                                   LatencyMeter* meter = nullptr,
+                                   const CancelToken* cancel = nullptr) const;
 
  private:
   const knowledge::KnowledgeGraph* kg_;   // may be null (no KG source)

@@ -113,7 +113,7 @@ Result<PipelineResult> Pipeline::Run(const table::Table& input,
     KnowledgeExtractor extractor(kg_, lake_, options_.extractor);
     CDI_ASSIGN_OR_RETURN(result.extraction,
                          extractor.Extract(input, entity_column, exposure,
-                                           outcome, &result.external));
+                                           outcome, &result.external, cancel));
     result.timings.extract_seconds = sw.ElapsedSeconds();
   }
 

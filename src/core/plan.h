@@ -77,6 +77,10 @@ class CdagPlan {
   Result<PairAnswer> AnswerPair(const std::string& exposure,
                                 const std::string& outcome) const;
 
+  /// Heap bytes of the Cholesky factors AnswerPair has cached so far; grows
+  /// with each new adjustment set answered.
+  std::size_t FactorCacheBytes() const { return fcache_->ByteSize(); }
+
  private:
   std::shared_ptr<const PipelineResult> artifact_;
   std::vector<std::string> names_;

@@ -2,55 +2,96 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
-#include <unordered_set>
-#include <utility>
+#include <string_view>
 
 #include "common/string_util.h"
 
 namespace cdi::knowledge {
 
+void DataLake::AddTable(table::Table t) {
+  std::vector<KeyColumn> key_columns;
+  for (std::size_t c = 0; c < t.num_cols(); ++c) {
+    const table::Column& col = t.ColumnAt(c);
+    if (col.type() != table::DataType::kString) continue;
+    KeyColumn kc;
+    kc.column = c;
+    kc.row_key.assign(col.size(), kNone);
+    for (std::size_t r = 0; r < col.size(); ++r) {
+      if (col.IsNull(r)) continue;
+      std::string key = NormalizeEntityName(col.StringAt(r));
+      if (key.empty()) continue;
+      kc.row_key[r] =
+          key_id_
+              .try_emplace(std::move(key),
+                           static_cast<uint32_t>(key_id_.size()))
+              .first->second;
+    }
+    key_columns.push_back(std::move(kc));
+  }
+  tables_.push_back(std::move(t));
+  key_columns_.push_back(std::move(key_columns));
+}
+
 std::vector<DataLake::JoinedColumn> DataLake::JoinNumericColumns(
     const std::vector<std::string>& keys, double min_containment,
     LatencyMeter* meter) const {
-  std::vector<std::string> norm_keys;
-  norm_keys.reserve(keys.size());
-  std::unordered_set<std::string> key_set;
-  for (const auto& k : keys) {
-    norm_keys.push_back(NormalizeEntityName(k));
-    if (!norm_keys.back().empty()) key_set.insert(norm_keys.back());
+  // Normalize each distinct input key once. row_input[i] numbers row i's
+  // usable normalized key (kNone for a null or blank one), `num_inputs`
+  // counts them, and input_of[k] is the number of lake key k (kNone when
+  // no input key normalizes to it).
+  std::vector<uint32_t> row_input(keys.size(), kNone);
+  std::vector<uint32_t> input_of(key_id_.size(), kNone);
+  uint32_t num_inputs = 0;
+  {
+    std::unordered_map<std::string_view, uint32_t> number_of_raw;
+    std::unordered_map<std::string, uint32_t> number_of_norm;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      auto [it, fresh] = number_of_raw.try_emplace(keys[i], kNone);
+      if (fresh) {
+        std::string norm = NormalizeEntityName(keys[i]);
+        if (!norm.empty()) {
+          auto lake = key_id_.find(norm);
+          auto [nit, added] =
+              number_of_norm.try_emplace(std::move(norm), num_inputs);
+          if (added) {
+            if (lake != key_id_.end()) input_of[lake->second] = num_inputs;
+            ++num_inputs;
+          }
+          it->second = nit->second;
+        }
+      }
+      row_input[i] = it->second;
+    }
   }
   std::vector<JoinedColumn> out;
-  if (key_set.empty()) return out;
+  if (num_inputs == 0) return out;
 
-  // ---- Joinability: containment of the input keys per string column. ----
-  // A joinable column keeps its rows' normalized keys ("" for a null or
-  // blank cell, which never joins) for the alignment below.
+  // ---- Joinability: containment of the input keys per key column. -------
   struct Joinable {
     std::size_t table_index;
-    const table::Column* key_col;
+    const KeyColumn* key;
     double containment;
-    std::vector<std::string> row_keys;
   };
   std::vector<Joinable> joinable;
+  // counted_in[d]: the last key column (by scan number) that counted
+  // input key d.
+  std::vector<uint32_t> counted_in(num_inputs, kNone);
+  uint32_t scan = 0;
   for (std::size_t t = 0; t < tables_.size(); ++t) {
     if (meter != nullptr) meter->Charge(kServiceName, kSecondsPerTableScan);
-    for (std::size_t c = 0; c < tables_[t].num_cols(); ++c) {
-      const table::Column& col = tables_[t].ColumnAt(c);
-      if (col.type() != table::DataType::kString) continue;
-      std::vector<std::string> row_keys(col.size());
-      std::unordered_set<std::string> values;
-      for (std::size_t r = 0; r < col.size(); ++r) {
-        if (col.IsNull(r)) continue;
-        row_keys[r] = NormalizeEntityName(col.StringAt(r));
-        if (!row_keys[r].empty()) values.insert(row_keys[r]);
-      }
+    for (const KeyColumn& kc : key_columns_[t]) {
       std::size_t hits = 0;
-      for (const auto& k : key_set) hits += values.count(k);
+      for (const uint32_t k : kc.row_key) {
+        const uint32_t d = k == kNone ? kNone : input_of[k];
+        if (d == kNone || counted_in[d] == scan) continue;
+        counted_in[d] = scan;
+        ++hits;
+      }
+      ++scan;
       const double containment =
-          static_cast<double>(hits) / static_cast<double>(key_set.size());
+          static_cast<double>(hits) / static_cast<double>(num_inputs);
       if (containment >= min_containment) {
-        joinable.push_back({t, &col, containment, std::move(row_keys)});
+        joinable.push_back({t, &kc, containment});
       }
     }
   }
@@ -59,42 +100,32 @@ std::vector<DataLake::JoinedColumn> DataLake::JoinNumericColumns(
                      return a.containment > b.containment;
                    });
 
-  // ---- Alignment: mean of each numeric column per input key. -------------
-  constexpr std::size_t kNoGroup = static_cast<std::size_t>(-1);
+  // ---- Alignment: average each numeric column per input key, in lake
+  // row order, and gather the means per input row. ----------------------
+  std::vector<double> sum, count;
   for (const Joinable& j : joinable) {
     const table::Table& t = tables_[j.table_index];
-    // Group the lake rows by key, and map each input row to its group.
-    std::unordered_map<std::string, std::size_t> group_of;
-    std::vector<std::size_t> row_group(t.num_rows(), kNoGroup);
-    for (std::size_t r = 0; r < t.num_rows(); ++r) {
-      if (j.row_keys[r].empty()) continue;
-      row_group[r] =
-          group_of.emplace(j.row_keys[r], group_of.size()).first->second;
-    }
-    std::vector<std::size_t> key_group(norm_keys.size(), kNoGroup);
-    for (std::size_t i = 0; i < norm_keys.size(); ++i) {
-      auto it = group_of.find(norm_keys[i]);
-      if (it != group_of.end()) key_group[i] = it->second;
-    }
+    const std::vector<uint32_t>& row_key = j.key->row_key;
     for (std::size_t c = 0; c < t.num_cols(); ++c) {
       const table::Column& col = t.ColumnAt(c);
       if (!table::IsNumeric(col.type())) continue;
-      std::vector<double> sum(group_of.size(), 0.0);
-      std::vector<double> count(group_of.size(), 0.0);
-      for (std::size_t r = 0; r < t.num_rows(); ++r) {
-        if (row_group[r] == kNoGroup || col.IsNull(r)) continue;
-        sum[row_group[r]] += col.NumericAt(r);
-        count[row_group[r]] += 1;
+      sum.assign(num_inputs, 0.0);
+      count.assign(num_inputs, 0.0);
+      for (std::size_t r = 0; r < col.size(); ++r) {
+        const uint32_t d = row_key[r] == kNone ? kNone : input_of[row_key[r]];
+        if (d == kNone || col.IsNull(r)) continue;
+        sum[d] += col.NumericAt(r);
+        count[d] += 1;
       }
       JoinedColumn jc;
       jc.table_index = j.table_index;
-      jc.key_column = j.key_col->name();
+      jc.key_column = t.ColumnAt(j.key->column).name();
       jc.value_column = col.name();
       jc.containment = j.containment;
       jc.values.assign(keys.size(), std::nan(""));
       for (std::size_t i = 0; i < keys.size(); ++i) {
-        const std::size_t g = key_group[i];
-        if (g != kNoGroup && count[g] > 0) jc.values[i] = sum[g] / count[g];
+        const uint32_t d = row_input[i];
+        if (d != kNone && count[d] > 0) jc.values[i] = sum[d] / count[d];
       }
       out.push_back(std::move(jc));
     }

@@ -8,17 +8,19 @@ namespace cdi::knowledge {
 
 void EntityLinker::AddEntity(const std::string& canonical,
                              const std::vector<std::string>& aliases) {
-  if (exact_.emplace(canonical, canonical).second) {
+  std::string norm = NormalizeEntityName(canonical);
+  if (exact_.emplace(canonical, Surface{canonical, norm}).second) {
     canonicals_.push_back(canonical);
   }
-  normalized_.emplace(NormalizeEntityName(canonical), canonical);
+  normalized_.emplace(std::move(norm), canonical);
   for (const auto& a : aliases) AddAlias(canonical, a);
 }
 
 void EntityLinker::AddAlias(const std::string& canonical,
                             const std::string& alias) {
-  exact_.emplace(alias, canonical);
-  normalized_.emplace(NormalizeEntityName(alias), canonical);
+  std::string norm = NormalizeEntityName(alias);
+  exact_.emplace(alias, Surface{canonical, norm});
+  normalized_.emplace(std::move(norm), canonical);
 }
 
 Result<LinkResult> EntityLinker::Link(const std::string& surface) const {
@@ -26,9 +28,9 @@ Result<LinkResult> EntityLinker::Link(const std::string& surface) const {
   // 1. Exact (canonical or alias).
   auto it = exact_.find(surface);
   if (it != exact_.end()) {
-    out.canonical = it->second;
-    out.method = it->second == surface ? LinkMethod::kExact
-                                       : LinkMethod::kAlias;
+    out.canonical = it->second.canonical;
+    out.method = it->second.canonical == surface ? LinkMethod::kExact
+                                                 : LinkMethod::kAlias;
     return out;
   }
   // 2. Normalized.
@@ -42,11 +44,11 @@ Result<LinkResult> EntityLinker::Link(const std::string& surface) const {
   // 3. Fuzzy over canonical names and registered surfaces.
   double best = 0;
   const std::string* best_canonical = nullptr;
-  for (const auto& [surf, canon] : exact_) {
-    const double sim = JaroWinkler(NormalizeEntityName(surf), norm);
+  for (const auto& [surf, entry] : exact_) {
+    const double sim = JaroWinkler(entry.normalized, norm);
     if (sim > best) {
       best = sim;
-      best_canonical = &canon;
+      best_canonical = &entry.canonical;
     }
   }
   if (best_canonical != nullptr && best >= fuzzy_threshold_) {

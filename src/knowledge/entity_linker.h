@@ -50,9 +50,16 @@ class EntityLinker {
   double fuzzy_threshold() const { return fuzzy_threshold_; }
 
  private:
+  /// A registered surface form's canonical entity, with the surface's
+  /// normalized form precomputed for fuzzy matching.
+  struct Surface {
+    std::string canonical;
+    std::string normalized;
+  };
+
   std::vector<std::string> canonicals_;
-  std::unordered_map<std::string, std::string> exact_;       // surface -> canonical
-  std::unordered_map<std::string, std::string> normalized_;  // norm -> canonical
+  std::unordered_map<std::string, Surface> exact_;  // surface -> entry
+  std::unordered_map<std::string, std::string> normalized_;  // norm -> canon
   double fuzzy_threshold_ = 0.90;
 };
 

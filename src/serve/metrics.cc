@@ -29,6 +29,7 @@ MetricsSnapshot MetricsSnapshot::Since(const MetricsSnapshot& earlier) const {
   out.plan_cache_entries = plan_cache_entries;
   out.summary_cache_entries = summary_cache_entries;
   out.result_payload_bytes = result_payload_bytes;
+  out.plan_cache_bytes = plan_cache_bytes;
   out.registry_bytes = registry_bytes;
   out.registry_scenarios = registry_scenarios;
   out.shard_bytes = shard_bytes;
@@ -51,7 +52,7 @@ std::string MetricsSnapshot::ToLine() const {
       "scenarios_unregistered=%llu registry_bytes=%llu "
       "registry_scenarios=%llu "
       "result_cache=%llu plan_cache=%llu summary_cache=%llu "
-      "result_payload_bytes=%llu queue_hwm=%llu "
+      "result_payload_bytes=%llu plan_cache_bytes=%llu queue_hwm=%llu "
       "hit_rate=%.4f "
       "p50_us=%.0f p95_us=%.0f p99_us=%.0f mean_us=%.0f "
       "update_p50_us=%.0f update_p99_us=%.0f summary_p50_us=%.0f "
@@ -79,6 +80,7 @@ std::string MetricsSnapshot::ToLine() const {
       static_cast<unsigned long long>(plan_cache_entries),
       static_cast<unsigned long long>(summary_cache_entries),
       static_cast<unsigned long long>(result_payload_bytes),
+      static_cast<unsigned long long>(plan_cache_bytes),
       static_cast<unsigned long long>(queue_depth_high_water),
       CacheHitRate(), latency.Quantile(0.50) * 1e6,
       latency.Quantile(0.95) * 1e6, latency.Quantile(0.99) * 1e6,

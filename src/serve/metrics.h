@@ -73,6 +73,9 @@ struct MetricsSnapshot {
   /// Rendered payload bytes held by the completed result-cache entries
   /// (gauge, as above; a summary entry counts its DOT and JSON payloads).
   std::uint64_t result_payload_bytes = 0;
+  /// Cached Cholesky factor bytes held by the completed plan-cache entries
+  /// (gauge, as above; CdagPlan::FactorCacheBytes summed).
+  std::uint64_t plan_cache_bytes = 0;
   /// Live registry byte charge and scenario count (gauges, as above).
   std::uint64_t registry_bytes = 0;
   std::uint64_t registry_scenarios = 0;

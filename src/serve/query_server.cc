@@ -549,6 +549,9 @@ MetricsSnapshot QueryServer::Metrics() const {
             -> std::uint64_t {
           return rendering->payload.size() + rendering->json_payload.size();
         });
+    snap.plan_cache_bytes = plans_.SumDone(
+        [](const std::shared_ptr<const core::CdagPlan>& plan)
+            -> std::uint64_t { return plan->FactorCacheBytes(); });
   }
   const RegistryStats registry = registry_->Stats();
   snap.scenarios_registered = registry.scenarios_registered;

@@ -236,8 +236,8 @@ class QueryServer {
   Status UnregisterScenario(const std::string& name);
 
   /// Counters plus current cache-size gauges (result_cache_entries /
-  /// plan_cache_entries / result_payload_bytes, read under the server
-  /// lock) and the registry's registration/eviction counters and byte
+  /// plan_cache_entries / result_payload_bytes / plan_cache_bytes, read
+  /// under the server lock) and the registry's registration/eviction counters and byte
   /// gauges.
   MetricsSnapshot Metrics() const;
 

@@ -166,9 +166,11 @@ std::shared_ptr<const FactorCache::Factor> FactorCache::FactorFor(
     }
   }
 
+  const std::size_t bytes = EntryBytes(key, *f);
   std::unique_lock<std::shared_mutex> lock(mu_);
   auto [it, inserted] = map_.emplace(key, std::move(f));
   // On a race the first insert wins; both computed identical bits anyway.
+  if (inserted) bytes_.fetch_add(bytes, std::memory_order_relaxed);
   return it->second;
 }
 
@@ -264,6 +266,8 @@ void FactorCache::EvictSmallerThan(std::size_t min_vars) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   for (auto it = map_.begin(); it != map_.end();) {
     if (it->second->n < min_vars) {
+      bytes_.fetch_sub(EntryBytes(it->first, *it->second),
+                       std::memory_order_relaxed);
       it = map_.erase(it);
     } else {
       ++it;
@@ -274,6 +278,11 @@ void FactorCache::EvictSmallerThan(std::size_t min_vars) {
 std::size_t FactorCache::size() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   return map_.size();
+}
+
+std::size_t FactorCache::EntryBytes(const std::string& key,
+                                    const Factor& factor) {
+  return key.size() + sizeof(Factor) + factor.l.size() * sizeof(double);
 }
 
 }  // namespace cdi::stats

@@ -94,6 +94,14 @@ class FactorCache {
   void EvictSmallerThan(std::size_t min_vars);
 
   std::size_t size() const;
+  /// Heap bytes held by the cached factors: each entry's key and packed
+  /// factor plus the Factor itself. A deterministic estimate like
+  /// table::Column::ByteSize (no capacity slack or allocator overhead),
+  /// kept as a running count on insert and eviction, so reading it is O(1)
+  /// and takes no lock.
+  std::size_t ByteSize() const {
+    return bytes_.load(std::memory_order_relaxed);
+  }
   /// Monotonic counters (relaxed; for benchmarks and EXPERIMENTS.md).
   std::size_t hits() const { return hits_.load(std::memory_order_relaxed); }
   std::size_t misses() const {
@@ -118,6 +126,8 @@ class FactorCache {
 
  private:
   std::shared_ptr<const Factor> Lookup(const std::string& key) const;
+  /// The ByteSize share of one map entry.
+  static std::size_t EntryBytes(const std::string& key, const Factor& factor);
 
   const Matrix* base_;
   const double ridge_;
@@ -128,6 +138,8 @@ class FactorCache {
   std::atomic<std::size_t> rows_extended_{0};
   std::atomic<std::size_t> rows_from_scratch_{0};
   std::atomic<std::size_t> inline_factors_{0};
+  /// Sum of EntryBytes over map_; changed only under the unique lock.
+  std::atomic<std::size_t> bytes_{0};
 };
 
 }  // namespace cdi::stats

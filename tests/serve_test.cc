@@ -2289,6 +2289,47 @@ TEST(MetricsTest, RegistryGaugesFlowThroughServerMetricsAndToLine) {
   server.Shutdown();
 }
 
+TEST(MetricsTest, PlanCacheBytesCountFactorsOfPlannedPairs) {
+  ScenarioRegistry registry;
+  QueryServer server(&registry);
+  const auto bundle = *registry.Register("covid", BuildCovid());
+  EXPECT_EQ(server.Metrics().plan_cache_bytes, 0u);
+  auto planned = [&](const std::string& exposure, const std::string& outcome) {
+    auto q = Query(exposure, outcome);
+    q.mode = QueryMode::kPlanned;
+    const auto response = server.Execute(q);
+    EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+    return server.Metrics().plan_cache_bytes;
+  };
+  const auto& sc = *bundle->scenario;
+  const std::uint64_t first =
+      planned(sc.exposure_attribute, sc.outcome_attribute);
+  // The same pair again is a result-tier hit: no new factors.
+  EXPECT_EQ(planned(sc.exposure_attribute, sc.outcome_attribute), first);
+  // A second distinct pair factors its own adjustment sets.
+  const auto& attrs = bundle->numeric_attributes;
+  ASSERT_GE(attrs.size(), 3u);
+  const std::string& other =
+      attrs[0] == sc.exposure_attribute || attrs[0] == sc.outcome_attribute
+          ? (attrs[1] == sc.exposure_attribute ||
+                     attrs[1] == sc.outcome_attribute
+                 ? attrs[2]
+                 : attrs[1])
+          : attrs[0];
+  const std::uint64_t second = planned(other, sc.outcome_attribute);
+  EXPECT_GT(second, first);
+  const MetricsSnapshot metrics = server.Metrics();
+  EXPECT_EQ(metrics.Since(metrics).plan_cache_bytes, second);
+  EXPECT_NE(metrics.ToLine().find(" plan_cache_bytes=" +
+                                  std::to_string(second) + " "),
+            std::string::npos)
+      << metrics.ToLine();
+
+  ASSERT_TRUE(server.UnregisterScenario("covid").ok());
+  EXPECT_EQ(server.Metrics().plan_cache_bytes, 0u);
+  server.Shutdown();
+}
+
 TEST(LineProtocolTest, ParsesRegisterGenerateAndUnregister) {
   auto reg = ParseCommandLine(
       "register mysc input=in.csv entity=unit kg=k1.csv kg=k2.csv "
