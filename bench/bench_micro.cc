@@ -6,9 +6,7 @@
 
 #include <cmath>
 #include <future>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <utility>
 
 #include "common/rng.h"
@@ -806,7 +804,7 @@ void BM_UpdateScenarioFullReingest(benchmark::State& state) {
 }
 BENCHMARK(BM_UpdateScenarioFullReingest);
 
-// ------------------------------------------------------ Sharded registry
+// ------------------------------------------------------ Scenario registry
 
 /// One built scenario shared across registry benches: registration cost
 /// then isolates the serving-layer work (stats recompute, byte
@@ -841,50 +839,31 @@ void BM_RegisterScenario(benchmark::State& state) {
 }
 BENCHMARK(BM_RegisterScenario);
 
-/// Registries for the lookup contention sweep, keyed by shard count.
-/// Unbudgeted, so Snapshot is a pure map find under the shard mutex —
-/// the comparison isolates lock spreading from LRU maintenance.
-cdi::serve::ScenarioRegistry& LookupRegistry(std::size_t shards) {
+/// Snapshot throughput over 64 names at 1..8 reader threads. Unbudgeted,
+/// so Snapshot is a pure map find under the registry mutex — the sweep
+/// shows what the one lock costs concurrent readers without LRU upkeep.
+void BM_RegistryLookup(benchmark::State& state) {
   static constexpr std::size_t kNames = 64;
-  static auto* registries =
-      new std::map<std::size_t,
-                   std::unique_ptr<cdi::serve::ScenarioRegistry>>();
-  static std::mutex mu;
-  std::lock_guard<std::mutex> lock(mu);
-  auto& slot = (*registries)[shards];
-  if (slot == nullptr) {
-    cdi::serve::RegistryOptions options;
-    options.num_shards = shards;
-    slot = std::make_unique<cdi::serve::ScenarioRegistry>(options);
+  static cdi::serve::ScenarioRegistry* const registry = [] {
+    auto* r = new cdi::serve::ScenarioRegistry();
     for (std::size_t i = 0; i < kNames; ++i) {
-      CDI_CHECK(
-          slot->Register("s" + std::to_string(i), BenchScenario()).ok());
+      CDI_CHECK(r->Register("s" + std::to_string(i), BenchScenario()).ok());
     }
-  }
-  return *slot;
-}
-
-/// Snapshot throughput over 64 names at 1..8 reader threads, single
-/// mutex (Arg = 1 shard) vs sharded (Arg = 8). The scale-out acceptance
-/// bar: 8 shards at 8 threads >= 2x the 1-shard throughput.
-void BM_RegistryLookupSharded(benchmark::State& state) {
-  auto& registry =
-      LookupRegistry(static_cast<std::size_t>(state.range(0)));
+    return r;
+  }();
   std::vector<std::string> names;
-  for (std::size_t i = 0; i < 64; ++i) {
+  for (std::size_t i = 0; i < kNames; ++i) {
     names.push_back("s" + std::to_string(i));
   }
-  // Per-thread stride keeps threads on different names (and shards).
+  // Per-thread stride keeps threads on different names.
   std::size_t i = static_cast<std::size_t>(state.thread_index()) * 7;
   for (auto _ : state) {
-    auto bundle = registry.Snapshot(names[i++ & 63]);
+    auto bundle = registry->Snapshot(names[i++ & (kNames - 1)]);
     benchmark::DoNotOptimize(bundle.ok());
   }
 }
-BENCHMARK(BM_RegistryLookupSharded)
+BENCHMARK(BM_RegistryLookup)
     ->UseRealTime()
-    ->Arg(1)
-    ->Arg(8)
     ->Threads(1)
     ->Threads(4)
     ->Threads(8);
@@ -897,7 +876,6 @@ void BM_EvictionChurn(benchmark::State& state) {
   const std::size_t per =
       (*probe.Register("probe", BenchScenario()))->memory_bytes;
   cdi::serve::RegistryOptions options;
-  options.num_shards = 1;
   options.memory_budget_bytes = per * 4 + per / 2;
   cdi::serve::ScenarioRegistry registry(options);
   std::size_t i = 0;

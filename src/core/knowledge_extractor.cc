@@ -143,7 +143,6 @@ Result<ExtractionResult> KnowledgeExtractor::Extract(
                                meter));
     for (std::size_t c = 0; c < kg_table.num_cols(); ++c) {
       table::Column& col = kg_table.MutableColumnAt(c);
-      if (col.name() == entity_column) continue;
       CDI_RETURN_IF_ERROR(CheckCancel(cancel));
       ++result.kg_columns_found;
       Candidate cand{std::move(col), {}, 0.0};

@@ -196,8 +196,8 @@ Result<std::string> KnowledgeGraph::GetLink(const std::string& entity,
 
 Status KnowledgeGraph::AppendLiteralColumns(
     const std::vector<uint32_t>& ids, const std::vector<uint32_t>& row,
-    const std::string& prefix, std::vector<uint32_t>* column_of,
-    table::Table* out) const {
+    const std::string& prefix, const std::string& key_name,
+    std::vector<uint32_t>* column_of, table::Table* out) const {
   // The union of the entities' literal properties, numbered in first-seen
   // order through `column_of` (all kNone on entry and on return).
   // value[u * d + j]: entity ids[j]'s value of property props[u].
@@ -226,9 +226,12 @@ Status KnowledgeGraph::AppendLiteralColumns(
     for (std::size_t i = 0; i < row.size(); ++i) {
       cells[i] = row[i] == kNone ? nullptr : value[u * d + row[i]];
     }
-    CDI_ASSIGN_OR_RETURN(
-        table::Column column,
-        GatherColumn(prefix + property_names_[props[u]], cells));
+    std::string name = prefix + property_names_[props[u]];
+    if (name == key_name) {
+      return Status::AlreadyExists("column '" + name + "' exists");
+    }
+    CDI_ASSIGN_OR_RETURN(table::Column column,
+                         GatherColumn(std::move(name), cells));
     CDI_RETURN_IF_ERROR(out->AddColumn(std::move(column)));
   }
   return Status::OK();
@@ -275,12 +278,10 @@ Result<table::Table> KnowledgeGraph::ExtractProperties(
   }
 
   table::Table out("kg_extraction");
-  CDI_RETURN_IF_ERROR(out.AddColumn(
-      table::Column::FromStrings(key_name, surface_keys)));
   // Scratch for AppendLiteralColumns: a column number per property id.
   std::vector<uint32_t> column_of(property_names_.size(), kNone);
-  CDI_RETURN_IF_ERROR(
-      AppendLiteralColumns(linked, row_entity, "", &column_of, &out));
+  CDI_RETURN_IF_ERROR(AppendLiteralColumns(linked, row_entity, "", key_name,
+                                           &column_of, &out));
   if (!follow_links) return out;
   // The link properties of the linked entities, in name order; each adds
   // its targets' literals as "<link>_<property>" columns.
@@ -314,8 +315,9 @@ Result<table::Table> KnowledgeGraph::ExtractProperties(
     for (std::size_t i = 0; i < n; ++i) {
       row_target[i] = row_entity[i] == kNone ? kNone : target_of[row_entity[i]];
     }
-    CDI_RETURN_IF_ERROR(AppendLiteralColumns(
-        targets, row_target, property_names_[p] + "_", &column_of, &out));
+    CDI_RETURN_IF_ERROR(AppendLiteralColumns(targets, row_target,
+                                             property_names_[p] + "_",
+                                             key_name, &column_of, &out));
   }
   return out;
 }

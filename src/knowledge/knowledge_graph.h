@@ -76,8 +76,10 @@ class KnowledgeGraph {
   /// cells are coerced to it). Keys that fail to link produce all-null
   /// rows. `meter` (may be null) is charged one lookup per row, plus one
   /// per (linked row, link property with a target) when following links.
-  /// Column `key_name` holds the original surface keys so the result
-  /// joins back to the input table.
+  /// Row i aligns with surface_keys[i]; the keys themselves are not
+  /// copied out. `key_name` names the caller's key column, so a property
+  /// column of that name fails with kAlreadyExists. With no linked
+  /// properties the table has no columns (and so no rows).
   Result<table::Table> ExtractProperties(
       const std::vector<std::string>& surface_keys,
       const std::string& key_name, bool follow_links,
@@ -111,10 +113,12 @@ class KnowledgeGraph {
   /// the distinct entities `ids`, named `prefix` + property, in
   /// property-name order. Row i takes the value of entity ids[row[i]]
   /// (none when row[i] is kNone). `column_of` is scratch with one kNone
-  /// entry per property id, left as it was found.
+  /// entry per property id, left as it was found. A column named
+  /// `key_name` fails with kAlreadyExists.
   Status AppendLiteralColumns(const std::vector<uint32_t>& ids,
                               const std::vector<uint32_t>& row,
                               const std::string& prefix,
+                              const std::string& key_name,
                               std::vector<uint32_t>* column_of,
                               table::Table* out) const;
 

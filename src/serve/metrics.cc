@@ -32,7 +32,6 @@ MetricsSnapshot MetricsSnapshot::Since(const MetricsSnapshot& earlier) const {
   out.plan_cache_bytes = plan_cache_bytes;
   out.registry_bytes = registry_bytes;
   out.registry_scenarios = registry_scenarios;
-  out.shard_bytes = shard_bytes;
   out.latency = latency.Since(earlier.latency);
   out.update_latency = update_latency.Since(earlier.update_latency);
   out.summary_latency = summary_latency.Since(earlier.summary_latency);
@@ -88,15 +87,7 @@ std::string MetricsSnapshot::ToLine() const {
       update_latency.Quantile(0.99) * 1e6,
       summary_latency.Quantile(0.50) * 1e6,
       summary_latency.Quantile(0.99) * 1e6);
-  std::string line = buf;
-  // Per-shard byte gauges, appended only when sharding is in play so the
-  // single-registry line format stays stable.
-  for (std::size_t i = 0; i < shard_bytes.size(); ++i) {
-    std::snprintf(buf, sizeof(buf), " shard%zu_bytes=%llu", i,
-                  static_cast<unsigned long long>(shard_bytes[i]));
-    line += buf;
-  }
-  return line;
+  return buf;
 }
 
 void ServerMetrics::ObserveQueueDepth(std::uint64_t depth) {

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/histogram.h"
 
@@ -79,9 +78,6 @@ struct MetricsSnapshot {
   /// Live registry byte charge and scenario count (gauges, as above).
   std::uint64_t registry_bytes = 0;
   std::uint64_t registry_scenarios = 0;
-  /// Per-shard live byte charge (gauge vector; empty on a bare
-  /// ServerMetrics::Snapshot). Index = shard number.
-  std::vector<std::uint64_t> shard_bytes;
   /// Submit-to-response latency of OK responses.
   HistogramSnapshot latency;
   /// End-to-end latency of successful UpdateScenario calls (table copy +

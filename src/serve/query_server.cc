@@ -49,7 +49,7 @@ QueryServer::QueryServer(ScenarioRegistry* registry,
   // eviction epoch is stamped above every epoch the scenario published,
   // so EvictStaleLocked retires exactly its entries — and refuses to
   // retain results of in-flight queries that complete after the
-  // eviction. The registry fires the listener outside its shard locks;
+  // eviction. The registry fires the listener outside its map lock;
   // the only lock taken inside is mu_, and no QueryServer path calls
   // into the registry while holding mu_, so the order is acyclic.
   registry_->SetEvictionListener(
@@ -559,8 +559,6 @@ MetricsSnapshot QueryServer::Metrics() const {
   snap.scenarios_unregistered = registry.scenarios_unregistered;
   snap.registry_bytes = registry.registry_bytes;
   snap.registry_scenarios = registry.scenarios;
-  snap.shard_bytes.assign(registry.shard_bytes.begin(),
-                          registry.shard_bytes.end());
   return snap;
 }
 

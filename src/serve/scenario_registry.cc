@@ -1,10 +1,8 @@
 #include "serve/scenario_registry.h"
 
-#include <algorithm>
 #include <mutex>
 #include <utility>
 
-#include "common/hash.h"
 #include "core/evaluation.h"
 #include "table/column.h"
 
@@ -73,32 +71,21 @@ std::size_t EstimateBundleBytes(const ScenarioBundle& bundle) {
 }
 
 ScenarioRegistry::ScenarioRegistry(RegistryOptions options)
-    : options_([&options] {
-        options.num_shards = std::clamp<std::size_t>(options.num_shards, 1,
-                                                     kMaxRegistryShards);
-        return options;
-      }()),
-      per_shard_budget_(
-          options_.memory_budget_bytes == 0
-              ? 0
-              : std::max<std::size_t>(
-                    1, options_.memory_budget_bytes / options_.num_shards)) {
-  shards_.reserve(options_.num_shards);
-  for (std::size_t i = 0; i < options_.num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
+    : budget_(options.memory_budget_bytes) {}
 
 void ScenarioRegistry::SetEvictionListener(EvictionListener listener) {
   std::lock_guard<std::mutex> lock(listener_mu_);
   listener_ = std::move(listener);
 }
 
-ScenarioRegistry::Shard& ScenarioRegistry::ShardFor(
-    const std::string& name) const {
-  Fnv1a hasher("cdi.registry.shard");
-  hasher.Mix(name);
-  return *shards_[hasher.Digest() % shards_.size()];
+Status ScenarioRegistry::MissingLocked(const std::string& name,
+                                       const char* hint) const {
+  auto reason = evicted_reason_.find(name);
+  if (reason != evicted_reason_.end()) {
+    return Status::NotFound("scenario '" + name + "' was " + reason->second +
+                            "; " + hint);
+  }
+  return Status::NotFound("scenario '" + name + "' is not registered");
 }
 
 Result<std::shared_ptr<const ScenarioBundle>> ScenarioRegistry::Register(
@@ -129,8 +116,8 @@ Result<std::shared_ptr<const ScenarioBundle>> ScenarioRegistry::Insert(
     return Status::InvalidArgument("scenario must be non-null");
   }
 
-  // Build the bundle outside all locks; only the map publish is
-  // serialized (and only on the owning shard).
+  // Build the bundle outside the lock; only the map publish is
+  // serialized.
   auto bundle = std::make_shared<ScenarioBundle>();
   bundle->name = name;
   bundle->scenario = std::move(scenario);
@@ -192,14 +179,13 @@ Result<std::shared_ptr<const ScenarioBundle>> ScenarioRegistry::Insert(
   std::shared_ptr<const ScenarioBundle> out;
   std::vector<std::pair<std::string, std::uint64_t>> evicted;
   {
-    Shard& shard = ShardFor(name);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (!allow_replace && shard.entries.count(name) != 0) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!allow_replace && entries_.count(name) != 0) {
       return Status::AlreadyExists("scenario '" + name +
                                    "' is already registered");
     }
     out = bundle;
-    PublishLocked(shard, name, std::move(bundle), &evicted);
+    PublishLocked(name, std::move(bundle), &evicted);
   }
   registered_.fetch_add(1, std::memory_order_relaxed);
   NotifyEvicted(evicted);
@@ -209,21 +195,15 @@ Result<std::shared_ptr<const ScenarioBundle>> ScenarioRegistry::Insert(
 Status ScenarioRegistry::Unregister(const std::string& name) {
   std::uint64_t eviction_epoch = 0;
   {
-    Shard& shard = ShardFor(name);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.entries.find(name);
-    if (it == shard.entries.end()) {
-      auto reason = shard.evicted_reason.find(name);
-      if (reason != shard.evicted_reason.end()) {
-        return Status::NotFound("scenario '" + name + "' was " +
-                                reason->second + "; nothing to unregister");
-      }
-      return Status::NotFound("scenario '" + name + "' is not registered");
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = entries_.find(name);
+    if (it == entries_.end()) {
+      return MissingLocked(name, "nothing to unregister");
     }
-    shard.bytes -= it->second.bundle->memory_bytes;
-    shard.lru.erase(it->second.lru_it);
-    shard.entries.erase(it);
-    shard.evicted_reason[name] = "unregistered";
+    bytes_ -= it->second.bundle->memory_bytes;
+    lru_.erase(it->second.lru_it);
+    entries_.erase(it);
+    evicted_reason_[name] = "unregistered";
     eviction_epoch = next_epoch_.fetch_add(1, std::memory_order_relaxed);
   }
   unregistered_.fetch_add(1, std::memory_order_relaxed);
@@ -237,19 +217,12 @@ Result<std::shared_ptr<const ScenarioBundle>> ScenarioRegistry::UpdateScenario(
     return Status::InvalidArgument("row batch for scenario '" + name +
                                    "' has no rows");
   }
-  Shard& shard = ShardFor(name);
   std::shared_ptr<const ScenarioBundle> old;
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.entries.find(name);
-    if (it == shard.entries.end()) {
-      auto reason = shard.evicted_reason.find(name);
-      if (reason != shard.evicted_reason.end()) {
-        return Status::NotFound("scenario '" + name + "' was " +
-                                reason->second +
-                                "; re-register it before appending rows");
-      }
-      return Status::NotFound("scenario '" + name + "' is not registered");
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = entries_.find(name);
+    if (it == entries_.end()) {
+      return MissingLocked(name, "re-register it before appending rows");
     }
     old = it->second.bundle;
   }
@@ -298,12 +271,12 @@ Result<std::shared_ptr<const ScenarioBundle>> ScenarioRegistry::UpdateScenario(
   std::shared_ptr<const ScenarioBundle> out;
   std::vector<std::pair<std::string, std::uint64_t>> evicted;
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.entries.find(name);
-    if (it == shard.entries.end()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = entries_.find(name);
+    if (it == entries_.end()) {
       // Evicted or unregistered while the delta was being prepared.
-      auto reason = shard.evicted_reason.find(name);
-      const std::string why = reason != shard.evicted_reason.end()
+      auto reason = evicted_reason_.find(name);
+      const std::string why = reason != evicted_reason_.end()
                                   ? reason->second
                                   : "unregistered";
       return Status::NotFound("scenario '" + name + "' was " + why +
@@ -318,45 +291,44 @@ Result<std::shared_ptr<const ScenarioBundle>> ScenarioRegistry::UpdateScenario(
                              "applied; retry against the new snapshot");
     }
     out = bundle;
-    PublishLocked(shard, name, std::move(bundle), &evicted);
+    PublishLocked(name, std::move(bundle), &evicted);
   }
   NotifyEvicted(evicted);
   return out;
 }
 
 void ScenarioRegistry::PublishLocked(
-    Shard& shard, const std::string& name,
-    std::shared_ptr<ScenarioBundle> bundle,
+    const std::string& name, std::shared_ptr<ScenarioBundle> bundle,
     std::vector<std::pair<std::string, std::uint64_t>>* evicted) {
   // The epoch is stamped at publish time so it is monotone with respect
-  // to every other publication *and* eviction across all shards.
+  // to every other publication *and* eviction.
   bundle->epoch = next_epoch_.fetch_add(1, std::memory_order_relaxed);
-  auto it = shard.entries.find(name);
-  if (it != shard.entries.end()) {
-    shard.bytes -= it->second.bundle->memory_bytes;
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
+  auto it = entries_.find(name);
+  if (it != entries_.end()) {
+    bytes_ -= it->second.bundle->memory_bytes;
+    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
     it->second.bundle = bundle;
   } else {
-    shard.lru.push_front(name);
-    shard.entries[name] = Shard::Entry{bundle, shard.lru.begin()};
+    lru_.push_front(name);
+    entries_[name] = Entry{bundle, lru_.begin()};
   }
-  shard.bytes += bundle->memory_bytes;
-  shard.evicted_reason.erase(name);
-  EnforceBudgetLocked(shard, name, evicted);
+  bytes_ += bundle->memory_bytes;
+  evicted_reason_.erase(name);
+  EnforceBudgetLocked(name, evicted);
 }
 
 void ScenarioRegistry::EnforceBudgetLocked(
-    Shard& shard, const std::string& keep,
+    const std::string& keep,
     std::vector<std::pair<std::string, std::uint64_t>>* evicted) {
-  if (per_shard_budget_ == 0) return;
-  while (shard.bytes > per_shard_budget_ && shard.lru.size() > 1) {
-    const std::string victim = shard.lru.back();
+  if (budget_ == 0) return;
+  while (bytes_ > budget_ && lru_.size() > 1) {
+    const std::string victim = lru_.back();
     if (victim == keep) break;  // never evict the bundle just published
-    auto it = shard.entries.find(victim);
-    shard.bytes -= it->second.bundle->memory_bytes;
-    shard.lru.pop_back();
-    shard.entries.erase(it);
-    shard.evicted_reason[victim] = "evicted by the memory budget";
+    auto it = entries_.find(victim);
+    bytes_ -= it->second.bundle->memory_bytes;
+    lru_.pop_back();
+    entries_.erase(it);
+    evicted_reason_[victim] = "evicted by the memory budget";
     evicted->emplace_back(
         victim, next_epoch_.fetch_add(1, std::memory_order_relaxed));
     evicted_.fetch_add(1, std::memory_order_relaxed);
@@ -373,43 +345,31 @@ void ScenarioRegistry::NotifyEvicted(
 
 Result<std::shared_ptr<const ScenarioBundle>> ScenarioRegistry::Snapshot(
     const std::string& name) const {
-  Shard& shard = ShardFor(name);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.entries.find(name);
-  if (it == shard.entries.end()) {
-    auto reason = shard.evicted_reason.find(name);
-    if (reason != shard.evicted_reason.end()) {
-      return Status::NotFound("scenario '" + name + "' was " +
-                              reason->second + "; re-register it to serve "
-                              "queries against it again");
-    }
-    return Status::NotFound("scenario '" + name + "' is not registered");
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = entries_.find(name);
+  if (it == entries_.end()) {
+    return MissingLocked(name,
+                         "re-register it to serve queries against it again");
   }
-  if (per_shard_budget_ != 0) {
+  if (budget_ != 0) {
     // LRU freshen; skipped without a budget so unbudgeted lookups stay a
     // pure map find.
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
+    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
   }
   return it->second.bundle;
 }
 
 std::vector<std::string> ScenarioRegistry::Names() const {
+  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> names;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (const auto& [name, entry] : shard->entries) names.push_back(name);
-  }
-  std::sort(names.begin(), names.end());
+  names.reserve(entries_.size());
+  for (const auto& [name, entry] : entries_) names.push_back(name);
   return names;
 }
 
 std::size_t ScenarioRegistry::size() const {
-  std::size_t n = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    n += shard->entries.size();
-  }
-  return n;
+  std::lock_guard<std::mutex> lock(mu_);
+  return entries_.size();
 }
 
 RegistryStats ScenarioRegistry::Stats() const {
@@ -418,15 +378,9 @@ RegistryStats ScenarioRegistry::Stats() const {
   stats.scenarios_evicted = evicted_.load(std::memory_order_relaxed);
   stats.scenarios_unregistered =
       unregistered_.load(std::memory_order_relaxed);
-  stats.shard_bytes.reserve(shards_.size());
-  stats.shard_scenarios.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    stats.shard_bytes.push_back(shard->bytes);
-    stats.shard_scenarios.push_back(shard->entries.size());
-    stats.registry_bytes += shard->bytes;
-    stats.scenarios += shard->entries.size();
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  stats.registry_bytes = bytes_;
+  stats.scenarios = entries_.size();
   return stats;
 }
 

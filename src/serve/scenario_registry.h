@@ -95,19 +95,12 @@ struct ScenarioBundle {
 /// epochs of a scenario and are charged with the table they ride in on.
 std::size_t EstimateBundleBytes(const ScenarioBundle& bundle);
 
-/// Most shards a registry allocates (--registry-shards rejects more).
-inline constexpr std::size_t kMaxRegistryShards = 4096;
-
 struct RegistryOptions {
-  /// Shards, clamped to [1, kMaxRegistryShards]; names map to shards by
-  /// hash. More shards means less mutex contention for concurrent
-  /// lookups of different scenarios.
-  std::size_t num_shards = 8;
-  /// Total memory budget over all shards, in bytes; 0 = unlimited. Each
-  /// shard enforces budget/num_shards with LRU eviction: registering or
-  /// growing a bundle past the budget evicts the shard's least recently
-  /// used scenarios (never the one just published). Evicted scenarios
-  /// answer Snapshot with a descriptive kNotFound until re-registered.
+  /// Memory budget over the whole registry, in bytes; 0 = unlimited.
+  /// Registering or growing a bundle past the budget evicts the least
+  /// recently used scenarios (never the one just published). Evicted
+  /// scenarios answer Snapshot with a descriptive kNotFound until
+  /// re-registered.
   std::size_t memory_budget_bytes = 0;
 };
 
@@ -119,23 +112,20 @@ struct RegistryStats {
   std::uint64_t scenarios_evicted = 0;
   /// Scenarios removed by Unregister.
   std::uint64_t scenarios_unregistered = 0;
-  /// Live byte charge / scenario count, total and per shard.
+  /// Live byte charge and scenario count.
   std::size_t registry_bytes = 0;
   std::size_t scenarios = 0;
-  std::vector<std::size_t> shard_bytes;
-  std::vector<std::size_t> shard_scenarios;
 };
 
-/// Thread-safe name -> bundle map with snapshot semantics, sharded by
-/// name hash with an optional byte-accounted LRU memory budget.
+/// Thread-safe name -> bundle map with snapshot semantics and an optional
+/// byte-accounted LRU memory budget.
 ///
 /// Readers (`Snapshot`) and writers (`Register` / `Replace` /
-/// `Unregister`) synchronize on the owning shard's mutex, held only for
-/// the map operation itself — bundle construction (scenario
-/// materialization + sufficient statistics) happens outside any lock, and
-/// lookups return a shared_ptr copy, so the serving hot path never blocks
-/// behind a registration, and lookups of scenarios on different shards
-/// never contend at all.
+/// `Unregister`) synchronize on one mutex, held only for the map
+/// operation itself — bundle construction (scenario materialization +
+/// sufficient statistics) happens outside the lock, and lookups return a
+/// shared_ptr copy, so the serving hot path never blocks behind a
+/// registration.
 ///
 /// Removal (eviction or unregistration) stamps a fresh epoch — the
 /// "eviction epoch" — strictly above every epoch the scenario ever
@@ -145,7 +135,7 @@ struct RegistryStats {
 /// never be served across an evict/re-register cycle.
 class ScenarioRegistry {
  public:
-  /// Fired on every eviction or unregistration, outside all shard locks:
+  /// Fired on every eviction or unregistration, outside the map lock:
   /// (scenario name, eviction epoch). Serialized: listener calls never
   /// overlap. The query server uses it to sweep result/plan cache
   /// entries for the departed scenario.
@@ -217,33 +207,20 @@ class ScenarioRegistry {
   Result<std::shared_ptr<const ScenarioBundle>> Snapshot(
       const std::string& name) const;
 
-  /// Registered names, sorted — deterministic for any shard count.
+  /// Registered names, sorted.
   std::vector<std::string> Names() const;
 
   std::size_t size() const;
 
-  /// Point-in-time counters and byte gauges (per shard and total).
+  /// Point-in-time counters and byte gauges.
   RegistryStats Stats() const;
 
-  const RegistryOptions& options() const { return options_; }
-
  private:
-  struct Shard {
-    struct Entry {
-      std::shared_ptr<const ScenarioBundle> bundle;
-      /// Position in `lru` (stable across list splices).
-      std::list<std::string>::iterator lru_it;
-    };
-    mutable std::mutex mu;
-    std::map<std::string, Entry> entries;
-    /// Front = most recently used. Maintained only under a memory budget.
-    mutable std::list<std::string> lru;
-    std::size_t bytes = 0;
-    /// Why a formerly live name is gone (cleared on re-register).
-    std::map<std::string, std::string> evicted_reason;
+  struct Entry {
+    std::shared_ptr<const ScenarioBundle> bundle;
+    /// Position in `lru_` (stable across list splices).
+    std::list<std::string>::iterator lru_it;
   };
-
-  Shard& ShardFor(const std::string& name) const;
 
   Result<std::shared_ptr<const ScenarioBundle>> Insert(
       const std::string& name,
@@ -251,28 +228,40 @@ class ScenarioRegistry {
       std::optional<core::PipelineOptions> default_options,
       bool allow_replace);
 
-  /// Publishes `bundle` into `shard` under its lock: stamps the epoch,
-  /// adjusts the byte charge, freshens LRU, enforces the budget (never
-  /// evicting `bundle` itself), and appends evictions to `evicted`.
-  void PublishLocked(Shard& shard, const std::string& name,
+  /// kNotFound for a name not in `entries_`, saying why it is gone when
+  /// it used to be live; `hint` follows the reason. Call under `mu_`.
+  Status MissingLocked(const std::string& name, const char* hint) const;
+
+  /// Publishes `bundle` under `mu_`: stamps the epoch, adjusts the byte
+  /// charge, freshens LRU, enforces the budget (never evicting `bundle`
+  /// itself), and appends evictions to `evicted`.
+  void PublishLocked(const std::string& name,
                      std::shared_ptr<ScenarioBundle> bundle,
                      std::vector<std::pair<std::string, std::uint64_t>>*
                          evicted);
 
-  /// Drops LRU-tail scenarios while the shard is over its budget slice,
-  /// skipping `keep` (the entry just published).
-  void EnforceBudgetLocked(Shard& shard, const std::string& keep,
+  /// Drops LRU-tail scenarios while the registry is over its budget,
+  /// skipping `keep` (the entry just published). Call under `mu_`.
+  void EnforceBudgetLocked(const std::string& keep,
                            std::vector<std::pair<std::string, std::uint64_t>>*
                                evicted);
 
-  /// Runs the listener for each (name, eviction epoch), outside shard
-  /// locks but under listener_mu_ (serialized with SetEvictionListener).
+  /// Runs the listener for each (name, eviction epoch), outside `mu_`
+  /// but under listener_mu_ (serialized with SetEvictionListener).
   void NotifyEvicted(
       const std::vector<std::pair<std::string, std::uint64_t>>& evicted);
 
-  const RegistryOptions options_;
-  const std::size_t per_shard_budget_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  /// RegistryOptions::memory_budget_bytes; 0 = unlimited.
+  const std::size_t budget_;
+
+  mutable std::mutex mu_;
+  std::map<std::string, Entry> entries_;
+  /// Front = most recently used. Maintained only under a memory budget.
+  mutable std::list<std::string> lru_;
+  std::size_t bytes_ = 0;
+  /// Why a formerly live name is gone (cleared on re-register).
+  std::map<std::string, std::string> evicted_reason_;
+
   std::atomic<std::uint64_t> next_epoch_{1};
 
   std::atomic<std::uint64_t> registered_{0};

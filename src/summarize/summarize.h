@@ -25,7 +25,7 @@ namespace cdi::summarize {
 /// and outcome nodes are never merged. The pass is single-threaded with
 /// a total candidate order, so the output is a pure function of
 /// (dag, members, exposure, outcome, options) — byte-identical across
-/// thread counts, shard counts, and call sites.
+/// thread counts and call sites.
 ///
 /// `members` maps a node name to the attributes it represents (a C-DAG's
 /// cluster members); names absent from the map represent themselves

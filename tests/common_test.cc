@@ -342,8 +342,8 @@ TEST(StringUtilTest, ParseNumberBoundsByTargetType) {
   EXPECT_FALSE(ParseNumber("workers", "-1", &i).ok());
   EXPECT_EQ(i, 12);
   std::size_t z = 0;
-  EXPECT_FALSE(ParseNumber("registry-shards", "9", &z, 8).ok());
-  EXPECT_TRUE(ParseNumber("registry-shards", "8", &z, 8).ok());
+  EXPECT_FALSE(ParseNumber("queue-depth", "9", &z, 8).ok());
+  EXPECT_TRUE(ParseNumber("queue-depth", "8", &z, 8).ok());
   EXPECT_EQ(z, 8u);
   double d = 0.0;
   EXPECT_TRUE(ParseNumber("zipf-s", "1.1", &d).ok());

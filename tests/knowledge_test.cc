@@ -134,7 +134,14 @@ TEST(KnowledgeGraphTest, ExtractPropertiesAlignsRows) {
   EXPECT_DOUBLE_EQ(t->GetCell(1, "avg_temp")->as_double(), 71.8);
   EXPECT_TRUE(t->GetCell(1, "snow_inch")->is_null());   // missing property
   EXPECT_TRUE(t->GetCell(2, "avg_temp")->is_null());    // unlinkable key
-  EXPECT_EQ(t->GetCell(2, "state")->as_string(), "nowhere");
+  // Rows align with the keys; the keys themselves are not copied out.
+  EXPECT_EQ(t->num_cols(), 2u);
+  EXPECT_FALSE(t->HasColumn("state"));
+  // A property named like the caller's key column would shadow it.
+  EXPECT_EQ(kg.ExtractProperties({"MA"}, "avg_temp", false, nullptr)
+                .status()
+                .code(),
+            StatusCode::kAlreadyExists);
 }
 
 TEST(KnowledgeGraphTest, LinkFollowingExtractsSubProperties) {
@@ -179,8 +186,8 @@ TEST(KnowledgeGraphTest, ManySparsePropertiesLoadAndExtractQuickly) {
                              std::chrono::steady_clock::now() - start)
                              .count();
   ASSERT_TRUE(t.ok()) << t.status().ToString();
-  // The key, one literal per linked entity, one "<link>_<property>" each.
-  EXPECT_EQ(t->num_cols(), 1 + 2 * keys.size());
+  // One literal per linked entity, one "<link>_<property>" each.
+  EXPECT_EQ(t->num_cols(), 2 * keys.size());
   EXPECT_EQ(t->GetCell(1, "p50")->as_int64(), 50);
   EXPECT_TRUE(t->GetCell(0, "p50")->is_null());
   EXPECT_EQ(t->GetCell(1, "l50_p51")->as_int64(), 51);
@@ -388,8 +395,7 @@ struct ReferenceKg {
 
   table::Table Extract(const EntityLinker& linker,
                        const std::vector<std::string>& keys,
-                       const std::string& key_name, bool follow_links,
-                       LatencyMeter* meter) const {
+                       bool follow_links, LatencyMeter* meter) const {
     const std::size_t n = keys.size();
     std::vector<std::string> entity(n);
     std::vector<bool> linked(n, false);
@@ -441,7 +447,6 @@ struct ReferenceKg {
       }
     }
     table::Table out("reference");
-    CDI_CHECK(out.AddColumn(table::Column::FromStrings(key_name, keys)).ok());
     for (auto& [name, cells] : cols) {
       bool s = false, d = false, i64 = false, b = false;
       for (const auto& v : cells) {
@@ -691,7 +696,7 @@ TEST(IndexedSourcesTest, ExtractAndJoinMatchBruteForceReference) {
       auto got = kg.ExtractProperties(keys, "key", follow, &meter);
       ASSERT_TRUE(got.ok()) << got.status().ToString();
       const table::Table want =
-          ref.Extract(kg.linker(), keys, "key", follow, &ref_meter);
+          ref.Extract(kg.linker(), keys, follow, &ref_meter);
       ExpectSameTable(*got, want);
       EXPECT_EQ(meter.Calls(KnowledgeGraph::kServiceName),
                 ref_meter.Calls(KnowledgeGraph::kServiceName));

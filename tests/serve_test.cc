@@ -1785,7 +1785,7 @@ TEST(MetricsTest, ObserveQueueDepthKeepsMaximum) {
   EXPECT_EQ(metrics.Snapshot().queue_depth_high_water, 9u);
 }
 
-// -------------------------------------- sharded registry & memory budget
+// ---------------------------------------------- registry memory budget
 
 /// A grid cell as a QueryServer::ScenarioBuilder — the serving layer's
 /// runtime-registration path. Grid rebuilds are bit-identical, which is
@@ -1813,13 +1813,33 @@ std::size_t LiveBundleBytes(ScenarioRegistry& registry) {
   return sum;
 }
 
-std::uint64_t SumShardBytes(const RegistryStats& stats) {
-  std::uint64_t sum = 0;
-  for (const auto b : stats.shard_bytes) sum += b;
-  return sum;
+TEST(RegistryBudgetTest, BudgetBoundsTheWholeRegistry) {
+  // The budget is one number for the whole registry: two bundles whose
+  // charges sum to exactly the budget both stay live, whatever their
+  // names hash to.
+  std::shared_ptr<const datagen::Scenario> covid(BuildCovid());
+  std::shared_ptr<const datagen::Scenario> flights(BuildFlights());
+  ScenarioRegistry probe;
+  const std::size_t covid_bytes =
+      (*probe.Register("covid", covid))->memory_bytes;
+  const std::size_t flights_bytes =
+      (*probe.Register("flights", flights))->memory_bytes;
+
+  RegistryOptions options;
+  options.memory_budget_bytes = covid_bytes + flights_bytes;
+  ScenarioRegistry registry(options);
+  ASSERT_TRUE(registry.Register("covid", covid).ok());
+  ASSERT_TRUE(registry.Register("flights", flights).ok());
+  EXPECT_TRUE(registry.Snapshot("covid").ok());
+  EXPECT_TRUE(registry.Snapshot("flights").ok());
+  const auto stats = registry.Stats();
+  EXPECT_EQ(stats.scenarios_evicted, 0u);
+  EXPECT_EQ(stats.scenarios, 2u);
+  EXPECT_EQ(stats.registry_bytes, options.memory_budget_bytes);
+  EXPECT_EQ(registry.Names(), (std::vector<std::string>{"covid", "flights"}));
 }
 
-TEST(ShardedRegistryTest, MemoryBudgetEvictsUnderSkewedMixOf120Names) {
+TEST(RegistryBudgetTest, MemoryBudgetEvictsUnderSkewedMixOf120Names) {
   // One built scenario shared under 120 names: per-registration cost is
   // a stats recompute, so the mix stays fast while every name carries a
   // real byte charge.
@@ -1829,15 +1849,14 @@ TEST(ShardedRegistryTest, MemoryBudgetEvictsUnderSkewedMixOf120Names) {
   ASSERT_GT(per, 0u);
 
   RegistryOptions options;
-  options.num_shards = 4;
-  options.memory_budget_bytes = per * 12;  // ~3 live bundles per shard
+  options.memory_budget_bytes = per * 12;  // 12 live bundles
   ScenarioRegistry registry(options);
   std::vector<std::string> names;
   for (int i = 0; i < 120; ++i) {
     names.push_back("s" + std::to_string(i));
     ASSERT_TRUE(registry.Register(names.back(), scenario).ok()) << i;
     // Skew: re-touch the first name after every registration, so it is
-    // never the coldest entry of its shard when the budget enforces.
+    // never the coldest entry when the budget enforces.
     (void)registry.Snapshot(names.front());
   }
 
@@ -1845,15 +1864,11 @@ TEST(ShardedRegistryTest, MemoryBudgetEvictsUnderSkewedMixOf120Names) {
   EXPECT_EQ(stats.scenarios_registered, 120u);
   EXPECT_GT(stats.scenarios_evicted, 0u);
   EXPECT_EQ(stats.scenarios_evicted + registry.size(), 120u);
-  EXPECT_LT(registry.size(), 120u);
-  // Byte accounting: the gauge equals the live bundles, shard gauges sum
-  // to the total, and every shard respects its slice of the budget.
+  EXPECT_EQ(registry.size(), 12u);
+  // Byte accounting: the gauge equals the live bundles and respects the
+  // budget.
   EXPECT_EQ(stats.registry_bytes, LiveBundleBytes(registry));
-  EXPECT_EQ(SumShardBytes(stats), stats.registry_bytes);
-  ASSERT_EQ(stats.shard_bytes.size(), 4u);
-  for (const auto bytes : stats.shard_bytes) {
-    EXPECT_LE(bytes, options.memory_budget_bytes / 4);
-  }
+  EXPECT_LE(stats.registry_bytes, options.memory_budget_bytes);
   // The hot name survived the churn.
   EXPECT_TRUE(registry.Snapshot(names.front()).ok());
 
@@ -1877,38 +1892,39 @@ TEST(ShardedRegistryTest, MemoryBudgetEvictsUnderSkewedMixOf120Names) {
   EXPECT_EQ(registry.Stats().registry_bytes, LiveBundleBytes(registry));
 }
 
-TEST(ShardedRegistryTest, SingleShardLruEvictsColdestAndTouchFreshens) {
+TEST(RegistryBudgetTest, GlobalLruEvictsRegistryWideColdest) {
   std::shared_ptr<const datagen::Scenario> scenario(BuildCovid());
   ScenarioRegistry probe;
   const std::size_t per = (*probe.Register("probe", scenario))->memory_bytes;
 
   RegistryOptions options;
-  options.num_shards = 1;
-  options.memory_budget_bytes = per * 3 + per / 2;  // room for exactly 3
+  options.memory_budget_bytes = per * 4 + per / 2;  // room for exactly 4
   ScenarioRegistry registry(options);
-  ASSERT_TRUE(registry.Register("a", scenario).ok());
-  ASSERT_TRUE(registry.Register("b", scenario).ok());
-  ASSERT_TRUE(registry.Register("c", scenario).ok());
-  EXPECT_EQ(registry.size(), 3u);
+  for (const char* name : {"a", "b", "c", "d"}) {
+    ASSERT_TRUE(registry.Register(name, scenario).ok()) << name;
+  }
+  EXPECT_EQ(registry.size(), 4u);
 
-  // Touch `a`: `b` is now the coldest, so the next registration evicts
-  // it — not the oldest-registered `a`.
+  // Touch `a`: `b` is now the coldest of the whole registry, so the next
+  // registration evicts it — not the oldest-registered `a`.
   ASSERT_TRUE(registry.Snapshot("a").ok());
-  ASSERT_TRUE(registry.Register("d", scenario).ok());
-  EXPECT_TRUE(registry.Snapshot("a").ok());
-  EXPECT_TRUE(registry.Snapshot("c").ok());
-  EXPECT_TRUE(registry.Snapshot("d").ok());
+  ASSERT_TRUE(registry.Register("e", scenario).ok());
   EXPECT_EQ(registry.Snapshot("b").status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(registry.Stats().scenarios_evicted, 1u);
+  // Touch `c`: `d` is the coldest now; `c` outlives it.
+  ASSERT_TRUE(registry.Snapshot("c").ok());
+  ASSERT_TRUE(registry.Register("f", scenario).ok());
+  EXPECT_EQ(registry.Snapshot("d").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(registry.Names(),
+            (std::vector<std::string>{"a", "c", "e", "f"}));
+  EXPECT_EQ(registry.Stats().scenarios_evicted, 2u);
 }
 
-TEST(ShardedRegistryTest, ByteAccountingSurvivesChurnInterleavings) {
+TEST(RegistryBudgetTest, ByteAccountingSurvivesChurnInterleavings) {
   std::shared_ptr<const datagen::Scenario> scenario(BuildCovid());
   ScenarioRegistry probe;
   const std::size_t per = (*probe.Register("probe", scenario))->memory_bytes;
 
   RegistryOptions options;
-  options.num_shards = 2;
   options.memory_budget_bytes = per * 8;
   ScenarioRegistry registry(options);
   for (int i = 0; i < 6; ++i) {
@@ -1933,7 +1949,8 @@ TEST(ShardedRegistryTest, ByteAccountingSurvivesChurnInterleavings) {
 
   const auto stats = registry.Stats();
   EXPECT_EQ(stats.registry_bytes, LiveBundleBytes(registry));
-  EXPECT_EQ(SumShardBytes(stats), stats.registry_bytes);
+  EXPECT_LE(stats.registry_bytes, options.memory_budget_bytes);
+  EXPECT_EQ(stats.scenarios_evicted, 0u);
   EXPECT_EQ(stats.scenarios_unregistered, 1u);
   EXPECT_EQ(stats.scenarios, registry.size());
 
@@ -1945,30 +1962,19 @@ TEST(ShardedRegistryTest, ByteAccountingSurvivesChurnInterleavings) {
       << miss.ToString();
 }
 
-TEST(ShardedRegistryTest, NamesAreSortedAndShardCountInvariant) {
+TEST(RegistryBudgetTest, NamesAreSorted) {
   std::shared_ptr<const datagen::Scenario> scenario(BuildCovid());
-  const std::vector<std::string> names = {"zeta", "alpha", "mid",
-                                          "beta9", "beta10"};
-  std::vector<std::vector<std::string>> listings;
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{4},
-                                   std::size_t{8}}) {
-    RegistryOptions options;
-    options.num_shards = shards;
-    ScenarioRegistry registry(options);
-    for (const auto& name : names) {
-      ASSERT_TRUE(registry.Register(name, scenario).ok());
-    }
-    listings.push_back(registry.Names());
+  ScenarioRegistry registry;
+  for (const char* name : {"zeta", "alpha", "mid", "beta9", "beta10"}) {
+    ASSERT_TRUE(registry.Register(name, scenario).ok());
   }
-  const std::vector<std::string> want = {"alpha", "beta10", "beta9", "mid",
-                                         "zeta"};
-  for (const auto& listing : listings) EXPECT_EQ(listing, want);
+  EXPECT_EQ(registry.Names(),
+            (std::vector<std::string>{"alpha", "beta10", "beta9", "mid",
+                                      "zeta"}));
 }
 
-TEST(ShardedRegistryTest, EvictionRacingInFlightUpdatePreservesSnapshot) {
-  RegistryOptions options;
-  options.num_shards = 1;
-  ScenarioRegistry registry(options);
+TEST(RegistryBudgetTest, EvictionRacingInFlightUpdatePreservesSnapshot) {
+  ScenarioRegistry registry;
   auto registered = registry.Register("covid", BuildCovid());
   ASSERT_TRUE(registered.ok());
   const auto snapshot = *registered;
@@ -2184,7 +2190,6 @@ TEST(QueryServerTest, ConcurrentRegisterUnregisterQueryRacesStayCoherent) {
   }
 
   RegistryOptions options;
-  options.num_shards = 4;
   options.memory_budget_bytes = cell_bytes * 5 / 2;
   ScenarioRegistry registry(options);
   QueryServerOptions server_options;
@@ -2237,14 +2242,12 @@ TEST(QueryServerTest, ConcurrentRegisterUnregisterQueryRacesStayCoherent) {
   EXPECT_EQ(unexpected.load(), 0u);
   const auto stats = registry.Stats();
   EXPECT_EQ(stats.registry_bytes, LiveBundleBytes(registry));
-  EXPECT_EQ(SumShardBytes(stats), stats.registry_bytes);
+  EXPECT_LE(stats.registry_bytes, options.memory_budget_bytes);
   server.Shutdown();
 }
 
 TEST(MetricsTest, RegistryGaugesFlowThroughServerMetricsAndToLine) {
-  RegistryOptions options;
-  options.num_shards = 2;
-  ScenarioRegistry registry(options);
+  ScenarioRegistry registry;
   QueryServer server(&registry);
   const std::string cell = "grid_c4_lin_cont_m0_p1_o0";
   ASSERT_TRUE(server.RegisterScenario(cell, GridBuilder(cell)).ok());
@@ -2266,15 +2269,13 @@ TEST(MetricsTest, RegistryGaugesFlowThroughServerMetricsAndToLine) {
             metrics.result_payload_bytes);
   EXPECT_EQ(metrics.scenarios_registered, 1u);
   EXPECT_EQ(metrics.registry_scenarios, 1u);
-  EXPECT_GT(metrics.registry_bytes, 0u);
-  ASSERT_EQ(metrics.shard_bytes.size(), 2u);
-  EXPECT_EQ(metrics.shard_bytes[0] + metrics.shard_bytes[1],
-            metrics.registry_bytes);
+  EXPECT_EQ(metrics.registry_bytes, (*registry.Snapshot(cell))->memory_bytes);
   const std::string line = metrics.ToLine();
   EXPECT_NE(line.find("scenarios_registered=1"), std::string::npos) << line;
-  EXPECT_NE(line.find("registry_bytes="), std::string::npos) << line;
-  EXPECT_NE(line.find("shard0_bytes="), std::string::npos) << line;
-  EXPECT_NE(line.find("shard1_bytes="), std::string::npos) << line;
+  EXPECT_NE(line.find(" registry_bytes=" +
+                      std::to_string(metrics.registry_bytes) + " "),
+            std::string::npos)
+      << line;
   EXPECT_NE(line.find(" result_payload_bytes=" +
                       std::to_string(metrics.result_payload_bytes) + " "),
             std::string::npos)

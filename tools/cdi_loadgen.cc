@@ -7,7 +7,7 @@
 //               [--no-warmup] [--sweep] [--summarize-mix]
 //               [--churn-rows N [--churn-batches B]]
 //               [--scenarios N [--skew zipf|uniform] [--zipf-s S]
-//                [--registry-shards N] [--memory-budget-kb K]]
+//                [--memory-budget-kb K]]
 //
 // Spawns an in-process QueryServer over one registered scenario, derives a
 // seeded mix of K distinct (exposure, outcome) queries from the
@@ -60,7 +60,7 @@
 // registered at runtime through QueryServer::RegisterScenario, and the
 // clients replay a skewed closed-loop mix — each request picks a
 // scenario by Zipf(--zipf-s) or uniform draw and queries its canonical
-// (exposure, outcome) pair. With --memory-budget-kb the sharded registry
+// (exposure, outcome) pair. With --memory-budget-kb the registry
 // evicts cold scenarios under the churn; a client that draws an evicted
 // scenario re-registers it (the grid rebuild is bit-identical) and
 // replays the request. Every served answer is compared byte-for-byte
@@ -121,7 +121,6 @@ struct Args {
   std::size_t grid_scenarios = 0;  // >0 enables grid scale-out mode
   std::string skew = "zipf";
   double zipf_s = 1.1;
-  std::size_t registry_shards = 8;
   std::size_t memory_budget_kb = 0;  // 0 = unlimited
 };
 
@@ -133,7 +132,7 @@ int Usage(const char* argv0) {
       "[--seed S] [--min-hit-rate F] [--no-verify] [--no-warmup] "
       "[--sweep] [--summarize-mix] [--churn-rows N [--churn-batches B]] "
       "[--scenarios N [--skew zipf|uniform] [--zipf-s S] "
-      "[--registry-shards N] [--memory-budget-kb K]]\n",
+      "[--memory-budget-kb K]]\n",
       argv0);
   return 2;
 }
@@ -182,9 +181,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->skew = v;
     } else if (flag == "--zipf-s" && (v = next())) {
       parsed = cdi::ParseNumber(flag, v, &args->zipf_s);
-    } else if (flag == "--registry-shards" && (v = next())) {
-      parsed = cdi::ParseNumber(flag, v, &args->registry_shards,
-                                cdi::serve::kMaxRegistryShards);
     } else if (flag == "--memory-budget-kb" && (v = next())) {
       parsed = cdi::ParseNumber(flag, v, &args->memory_budget_kb,
                                 SIZE_MAX / 1024);
@@ -307,7 +303,6 @@ int RunGridMode(const Args& args) {
   };
 
   cdi::serve::RegistryOptions registry_options;
-  registry_options.num_shards = args.registry_shards;
   registry_options.memory_budget_bytes = args.memory_budget_kb * 1024;
   cdi::serve::ScenarioRegistry registry(registry_options);
 
@@ -416,11 +411,11 @@ int RunGridMode(const Args& args) {
   server.Shutdown();
 
   std::printf("loadgen grid scenarios=%zu entities=%zu clients=%d "
-              "requests=%llu skew=%s zipf_s=%.2f shards=%zu budget_kb=%zu "
+              "requests=%llu skew=%s zipf_s=%.2f budget_kb=%zu "
               "seed=%llu\n",
               n, entities, args.clients,
               static_cast<unsigned long long>(total), args.skew.c_str(),
-              args.zipf_s, args.registry_shards, args.memory_budget_kb,
+              args.zipf_s, args.memory_budget_kb,
               static_cast<unsigned long long>(args.seed));
   std::printf("metrics %s\n", metrics.ToLine().c_str());
   std::printf("verify torn=%llu errors=%llu retried=%llu reregistered=%llu "

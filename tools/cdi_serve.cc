@@ -3,7 +3,7 @@
 // Usage:
 //   cdi_serve [--workers N] [--queue-depth D] [--pipeline-threads N]
 //             [--entities N] [--scenarios covid,flights]
-//             [--registry-shards N] [--memory-budget-kb K]
+//             [--memory-budget-kb K]
 //
 // Preloads the named benchmark scenarios (input table, knowledge graph,
 // data lake, oracle, topics, shared sufficient statistics) into a
@@ -27,9 +27,9 @@
 //   scenarios      # registered scenarios and their numeric attributes
 //   quit
 //
-// --registry-shards / --memory-budget-kb configure the sharded registry:
-// with a budget, least-recently-used scenarios are evicted when the
-// byte-accounted charge exceeds it; evicted names answer queries with a
+// --memory-budget-kb bounds the registry: least-recently-used scenarios
+// are evicted when the byte-accounted charge of all registered scenarios
+// exceeds it; evicted names answer queries with a
 // descriptive NotFound until re-registered (a `generate ... replace` of
 // the same cell rebuilds bit-identical data).
 //
@@ -88,7 +88,6 @@ struct Args {
   int pipeline_threads = 1;
   std::size_t entities = 0;  // 0 = scenario default
   std::vector<std::string> scenarios = {"covid", "flights"};
-  std::size_t registry_shards = 8;
   std::size_t memory_budget_kb = 0;  // 0 = unlimited
 };
 
@@ -97,7 +96,7 @@ int Usage(const char* argv0) {
                "usage: %s [--workers N] [--queue-depth D] "
                "[--pipeline-threads N] [--entities N] "
                "[--scenarios covid,flights] "
-               "[--registry-shards N] [--memory-budget-kb K]\n",
+               "[--memory-budget-kb K]\n",
                argv0);
   return 2;
 }
@@ -120,9 +119,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       parsed = cdi::ParseNumber(flag, v, &args->entities);
     } else if (flag == "--scenarios" && (v = next())) {
       args->scenarios = cdi::Split(v, ',');
-    } else if (flag == "--registry-shards" && (v = next())) {
-      parsed = cdi::ParseNumber(flag, v, &args->registry_shards,
-                                cdi::serve::kMaxRegistryShards);
     } else if (flag == "--memory-budget-kb" && (v = next())) {
       parsed = cdi::ParseNumber(flag, v, &args->memory_budget_kb,
                                 SIZE_MAX / 1024);
@@ -177,7 +173,6 @@ int main(int argc, char** argv) {
   if (!ParseArgs(argc, argv, &args)) return Usage(argv[0]);
 
   cdi::serve::RegistryOptions registry_options;
-  registry_options.num_shards = args.registry_shards;
   registry_options.memory_budget_bytes = args.memory_budget_kb * 1024;
   cdi::serve::ScenarioRegistry registry(registry_options);
   for (const auto& name : args.scenarios) {

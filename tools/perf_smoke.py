@@ -5,11 +5,10 @@ Runs the bench_micro kernel benchmarks (blocked covariance, reference
 kernel, row append, knowledge extraction) plus the query-serving
 paths (cache hit, cache miss, single-flight coalescing, planned-query
 steady state, C-DAG artifact build, summarization build,
-cached-summary hit, and the hit plus its response line per mode) with a
-short
---benchmark_min_time, then compares per-benchmark cpu_time against the
-checked-in baseline
-(BENCH_PR10.json at the repo root). Exits non-zero when the benchmark
+cached-summary hit, the hit plus its response line per mode, and the
+scenario registry's registration, concurrent lookup and eviction churn)
+with a short --benchmark_min_time, then compares per-benchmark cpu_time
+against the checked-in baseline (BENCH_PR10.json at the repo root). Exits non-zero when the benchmark
 binary crashes or any benchmark regresses by more than --max-regression
 (default 3x) — a deliberately loose bound that tolerates runner-to-runner
 variance while still catching algorithmic regressions (e.g. the blocked
@@ -33,7 +32,7 @@ BENCH_FILTER = (
     "BM_AppendRows|BM_ServeCacheHit|"
     "BM_ServeCacheMiss|BM_ServeSingleFlight|BM_ServePlannedQuery|"
     "BM_CdagArtifactBuild|BM_UpdateScenario|"
-    "BM_RegisterScenario|BM_RegistryLookupSharded|BM_EvictionChurn|"
+    "BM_RegisterScenario|BM_RegistryLookup|BM_EvictionChurn|"
     "BM_GramSimd|BM_PartialCorrBatched|BM_PcSkeletonBatched|"
     "BM_SummarizeDag|BM_ServeSummaryHit|BM_ServeHitLine|BM_KnowledgeExtract"
 )
